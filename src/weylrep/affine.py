@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import intmat
 from .rootsys import RootSystem
@@ -114,16 +115,10 @@ def _span_with(rs: RootSystem, name: str, extra_rows) -> CocharLattice:
     denom = 1
     for r in rows:
         for x in r:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = denom * x.denominator // gcd(denom, x.denominator)
     scaled = [[int(x * denom) for x in r] for r in rows]
     basis = intmat.hermite_row_basis(scaled)
     return _make_lattice(rs, name, [[Fraction(x, denom) for x in r] for r in basis])
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def vector_lattice(rs: RootSystem) -> CocharLattice:
@@ -190,7 +185,7 @@ def _canonical_rows(lat: CocharLattice):
     denom = 1
     for row in lat.basis:
         for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = denom * x.denominator // gcd(denom, x.denominator)
     scaled = [[int(x * denom) for x in row] for row in lat.basis]
     return [[Fraction(x, denom) for x in row] for row in intmat.hermite_row_basis(scaled)]
 

@@ -58,6 +58,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise ConfigError("config must be a JSON object")
         for key, val in user.items():
             if key == "checks":
+                if not isinstance(val, dict):
+                    raise ConfigError("checks must be a JSON object")
+                unknown = sorted(set(val) - set(cfg["checks"]))
+                if unknown:
+                    raise ConfigError(f"unknown checks {unknown}; "
+                                      f"known checks: {sorted(cfg['checks'])}")
                 cfg["checks"].update(val)
             elif key in cfg:
                 cfg[key] = val

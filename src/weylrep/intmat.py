@@ -7,6 +7,7 @@ root system), so clarity beats asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "smith_normal_form",
@@ -125,7 +126,7 @@ def solve_mod(m, b, n: int):
             if ub[i] % n != 0:
                 return None
             continue
-        g = _gcd(di, n)
+        g = gcd(di, n)
         if ub[i] % g != 0:
             return None
         # di * y = ub (mod n): divide through by g, invert di/g mod n/g
@@ -137,12 +138,6 @@ def solve_mod(m, b, n: int):
         if sum(m[i][j] * x[j] for j in range(cols)) % n != b[i] % n:
             raise AssertionError("solve_mod produced a bad witness")
     return tuple(x)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def hermite_row_basis(rows):

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+
+from .intmat import mat_det
 
 __all__ = [
     "CartanError",
@@ -122,8 +125,8 @@ class CartanDatum:
         # positive-definiteness via leading principal minors of the
         # symmetrized matrix (equivalently of the matrix itself)
         for k in range(1, n + 1):
-            sub = [[Fraction(m[i][j]) for j in range(k)] for i in range(k)]
-            if _det(sub) <= 0:
+            sub = [row[:k] for row in m[:k]]
+            if mat_det(sub) <= 0:
                 raise CartanError("Cartan matrix is not positive definite")
 
 
@@ -138,25 +141,6 @@ def _connected(m) -> bool:
                 seen.add(j)
                 frontier.append(j)
     return len(seen) == n
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
 
 
 def cartan_datum(type_label: str, rank: int) -> CartanDatum:
@@ -222,6 +206,9 @@ class RootSystem:
                 co.append(int(x))
             coroots.append(tuple(co))
         self.coroots = tuple(coroots)
+        # coroot of root k mod 2 as an int: bit i is its alpha_i^vee coefficient mod 2
+        self.coroot_masks = tuple(sum((c & 1) << i for i, c in enumerate(co))
+                                  for co in coroots)
 
         # pairing with simple coroots: psc[k][i] = <root_k, alpha_i^vee>
         psc = []
@@ -264,6 +251,8 @@ class RootSystem:
                 perm.append(self.index[tuple(c)])
             perms.append(tuple(perm))
         self.simple_perms = tuple(perms)
+        # simple_getters[i](perm) is perm composed with s_i on the right
+        self.simple_getters = tuple(itemgetter(*p) for p in perms)
 
     # -- basic queries ------------------------------------------------
 

@@ -8,6 +8,19 @@ and products along reduced words are honest products — plus the exchange
 step for length-decreasing multiplications.  Nothing here consults the
 flip-set formula, so comparing the computed 2-cocycle against the
 flip-set prediction is a genuine two-sided test.
+
+``multiply(x, y)`` multiplies x by y's canonical word one generator at
+a time, without composing the partial products: the one fact each step
+needs, the image of the next simple root, is x applied to a root cached
+by y's descent walk (``WeylElement.walk``).  That walk ends at the
+identity, which proves the word multiplies to y, so the Weyl part of
+the product is x.weyl * y.weyl.  This is still the honest group law:
+each step applies the defining relation of one generator, and only the
+bookkeeping of the partial product is replaced.  As a set the walk roots
+are the inversion set of y^-1, but they come from the walk that
+extracts the word, never from ``inversion_set`` or ``flip_set``.  While
+a product is formed its torus part is an int mask, so each mod-2 coroot
+sum is an XOR of ``RootSystem.coroot_masks``.
 """
 
 from __future__ import annotations
@@ -44,24 +57,29 @@ def _zero(rs: RootSystem) -> tuple[int, ...]:
     return (0,) * rs.rank
 
 
-def _coroot_bits(rs: RootSystem, k: int) -> tuple[int, ...]:
-    return tuple(c & 1 for c in rs.coroots[k])
+def _pack(bits: tuple[int, ...]) -> int:
+    return sum(t << i for i, t in enumerate(bits))
 
 
-def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x ^ y for x, y in zip(a, b))
+def _unpack(rs: RootSystem, mask: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(rs.rank))
+
+
+def _act_mask(w: WeylElement, bits: tuple[int, ...]) -> int:
+    """Mask of w applied to bits: the coroots of w(alpha_i) for each set bit."""
+    masks = w.rs.coroot_masks
+    simples = w.rs.simple_index
+    p = w.perm
+    out = 0
+    for i, t in enumerate(bits):
+        if t:
+            out ^= masks[p[simples[i]]]
+    return out
 
 
 def act_bits(w: WeylElement, bits: tuple[int, ...]) -> tuple[int, ...]:
     """W-action on Q^vee (x) F_2: push each set bit through w."""
-    rs = w.rs
-    out = [0] * rs.rank
-    for i, t in enumerate(bits):
-        if t:
-            img = w.perm[rs.simple_index[i]]
-            for j, c in enumerate(rs.coroots[img]):
-                out[j] ^= c & 1
-    return tuple(out)
+    return _unpack(w.rs, _act_mask(w, bits))
 
 
 def identity(rs: RootSystem) -> TitsElement:
@@ -78,22 +96,19 @@ def multiply(x: TitsElement, y: TitsElement) -> TitsElement:
     Length-increasing steps absorb into the word; length-decreasing
     steps trade the generator for a coroot bit (the exchange step),
     which is immediately pushed left through the remaining factor.
+    After k letters the partial product sends the next simple root to
+    x.weyl(beta_k), where beta_k is the k-th root of y's walk.
     """
     rs = x.weyl.rs
-    bits = _xor(x.bits, act_bits(x.weyl, y.bits))
-    cur = x.weyl
     npos = rs.npos
-    simples = rs.simple_index
-    for i in y.weyl.word:
-        img = cur.perm[simples[i - 1]]
-        cur = cur * simple_reflection(rs, i)
+    masks = rs.coroot_masks
+    mask = _pack(x.bits) ^ _act_mask(x.weyl, y.bits)
+    for img in map(x.weyl.perm.__getitem__, y.weyl.walk):
         if img < npos:
-            # exchange step: generator square appears, conjugated by cur;
-            # cur(alpha_i) = -previous image, and signs vanish mod 2
-            bits = _xor(bits, _coroot_bits(rs, img))
-    if cur.perm != (x.weyl * y.weyl).perm:
-        raise AssertionError("normal-form product lost its Weyl part")
-    return TitsElement(bits, cur)
+            # exchange step: the generator square appears and is pushed
+            # left, where it becomes the coroot of -img; signs vanish mod 2
+            mask ^= masks[img]
+    return TitsElement(_unpack(rs, mask), x.weyl * y.weyl)
 
 
 def invert(x: TitsElement) -> TitsElement:
@@ -101,8 +116,8 @@ def invert(x: TitsElement) -> TitsElement:
     rs = x.weyl.rs
     out = identity(rs)
     for i in reversed(x.weyl.word):
-        gi_inv = TitsElement(_coroot_bits(rs, rs.simple_index[i - 1]),
-                             simple_reflection(rs, i))
+        square = _unpack(rs, rs.coroot_masks[rs.simple_index[i - 1]])
+        gi_inv = TitsElement(square, simple_reflection(rs, i))
         out = multiply(out, gi_inv)
     return multiply(out, TitsElement(x.bits, weyl_identity(rs)))
 
@@ -125,21 +140,22 @@ def canonical_from_word(rs: RootSystem, word) -> TitsElement:
 
 
 def cocycle(u: WeylElement, v: WeylElement) -> tuple[int, ...]:
-    """Torus part of canonical(uv)^-1 * canonical(u) * canonical(v)."""
+    """Torus part of canonical(uv)^-1 * canonical(u) * canonical(v).
+
+    canonical(u) * canonical(v) = t * canonical(uv), so the defect is t
+    conjugated by canonical(uv), that is (uv)^-1 applied to t.
+    """
     prod = multiply(canonical(u), canonical(v))
-    defect = multiply(invert(canonical(u * v)), prod)
-    if not defect.weyl.is_identity():
-        raise AssertionError("cocycle defect has a non-trivial Weyl part")
-    return defect.bits
+    return act_bits(prod.weyl.inverse(), prod.bits)
 
 
 def flip_prediction(u: WeylElement, v: WeylElement) -> tuple[int, ...]:
     """Sum of coroot bits over flip_set(u, v)."""
-    rs = u.rs
-    bits = _zero(rs)
+    masks = u.rs.coroot_masks
+    mask = 0
     for b in flip_set(u, v):
-        bits = _xor(bits, _coroot_bits(rs, b))
-    return bits
+        mask ^= masks[b]
+    return _unpack(u.rs, mask)
 
 
 def check_cocycle_formula(u: WeylElement, v: WeylElement) -> bool:
@@ -162,6 +178,6 @@ def check_two_cocycle_identity(u: WeylElement, v: WeylElement,
     def f(a: WeylElement, b: WeylElement) -> tuple[int, ...]:
         return act_bits(a * b, cocycle(a, b))
 
-    lhs = _xor(f(u, v), f(u * v, x))
-    rhs = _xor(act_bits(u, f(v, x)), f(u, v * x))
+    lhs = _pack(f(u, v)) ^ _pack(f(u * v, x))
+    rhs = _pack(act_bits(u, f(v, x))) ^ _pack(f(u, v * x))
     return lhs == rhs

@@ -1,8 +1,9 @@
 """Finite Weyl group elements as exact permutations of the root list.
 
 Elements carry a canonical reduced word (greedy smallest-descent
-extraction, so equal permutations always yield equal words) and act on
-roots through precomputed simple-reflection permutation tables.  The
+extraction, so equal permutations always yield equal words), cached with
+the roots that the extracting walk visits, and act on roots through
+precomputed simple-reflection permutation tables.  The
 sign-flip machinery lives here: inversion sets, the two-step flip set
 ``flip_set(u, v)`` of positive roots sent negative by ``v`` and back to
 positive by ``u``, and the coroot-sum functionals built on it.
@@ -39,12 +40,13 @@ class WeylElement:
     indices following the Bourbaki numbering.
     """
 
-    __slots__ = ("rs", "perm", "_word", "_length", "_hash")
+    __slots__ = ("rs", "perm", "_word", "_walk", "_length", "_hash")
 
     def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
         self.rs = rs
         self.perm = perm
         self._word = None
+        self._walk = None
         self._length = None
         self._hash = None
 
@@ -89,23 +91,51 @@ class WeylElement:
     def word(self) -> tuple[int, ...]:
         """Canonical reduced word: repeatedly strip the smallest right descent."""
         if self._word is None:
-            rs = self.rs
-            npos = rs.npos
-            simples = rs.simple_index
-            perms = rs.simple_perms
-            cur = list(self.perm)
-            rev = []
-            while True:
-                i = next((i for i in range(rs.rank) if cur[simples[i]] < npos), None)
-                if i is None:
-                    break
-                rev.append(i + 1)
-                sp = perms[i]
-                cur = [cur[sp[k]] for k in range(len(cur))]
-            if any(cur[k] != k for k in range(len(cur))):
-                raise AssertionError("descent walk did not reach the identity")
-            self._word = tuple(reversed(rev))
+            self._descend()
         return self._word
+
+    @property
+    def walk(self) -> tuple[int, ...]:
+        """Root indices beta_k = s_{i1}...s_{ik}(alpha_{i(k+1)}) along ``word``.
+
+        As a set they are the inversion set of w^-1, one root per letter.
+        For any v, v(beta_k) is the image of alpha_{i(k+1)} under the
+        partial product v s_{i1}...s_{ik}, so its sign says whether the
+        next letter shortens that product without composing it.
+        """
+        if self._walk is None:
+            self._descend()
+        return self._walk
+
+    def _descend(self) -> None:
+        """Walk down to the identity, caching the letters and their roots.
+
+        Stripping letter i from cur = w s_{iL}...s_{i(k+2)} visits the root
+        -cur(alpha_i) = beta_k.  Reaching the identity proves that the
+        word multiplies out to w, which every walk root relies on.
+        """
+        rs = self.rs
+        npos = rs.npos
+        neg = rs.neg
+        simples = rs.simple_index
+        getters = rs.simple_getters
+        cur = self.perm
+        letters = []
+        roots = []
+        while True:
+            for i, s in enumerate(simples):
+                img = cur[s]
+                if img < npos:
+                    break
+            else:
+                break
+            letters.append(i + 1)
+            roots.append(neg[img])
+            cur = getters[i](cur)
+        if cur != _identity_perm(rs):
+            raise AssertionError("descent walk did not reach the identity")
+        self._word = tuple(reversed(letters))
+        self._walk = tuple(reversed(roots))
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -135,6 +165,7 @@ def _identity_perm(rs: RootSystem) -> tuple[int, ...]:
 def identity(rs: RootSystem) -> WeylElement:
     w = WeylElement(rs, _identity_perm(rs))
     w._word = ()
+    w._walk = ()
     w._length = 0
     return w
 
@@ -144,6 +175,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
         raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
     w = WeylElement(rs, rs.simple_perms[i - 1])
     w._word = (i,)
+    w._walk = (rs.simple_index[i - 1],)
     w._length = 1
     return w
 
@@ -151,11 +183,11 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 def from_word(rs: RootSystem, word) -> WeylElement:
     """Compose simple reflections; the stored word is re-extracted reduced."""
     perm = _identity_perm(rs)
+    getters = rs.simple_getters
     for i in word:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
-        sp = rs.simple_perms[i - 1]
-        perm = tuple(map(perm.__getitem__, sp))
+        perm = getters[i - 1](perm)
     return WeylElement(rs, perm)
 
 
@@ -256,15 +288,16 @@ def enumerate_group(rs: RootSystem, limit: int | None = None) -> list[WeylElemen
     ident = identity(rs)
     seen = {ident.perm}
     out = [ident]
-    frontier = [ident]
+    frontier = [ident.perm]
+    getters = rs.simple_getters
     while frontier:
         nxt = []
-        for w in frontier:
-            for i in range(1, rs.rank + 1):
-                x = w * simple_reflection(rs, i)
-                if x.perm not in seen:
-                    seen.add(x.perm)
-                    out.append(x)
+        for p in frontier:
+            for getter in getters:
+                x = getter(p)
+                if x not in seen:
+                    seen.add(x)
+                    out.append(WeylElement(rs, x))
                     nxt.append(x)
         frontier = nxt
     return out

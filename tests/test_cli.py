@@ -52,6 +52,16 @@ def test_config_file_and_unknown_keys(tmp_path):
         load_config(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize("checks", [5, ["cocycle"], {"cocylce": True}])
+def test_bad_checks_are_config_errors(tmp_path, capsys, checks):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"checks": checks}))
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert "checks" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = cli.main(["sweep", "--type", "A", "--rank", "2",

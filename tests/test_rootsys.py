@@ -132,9 +132,14 @@ def test_negation_and_pairing_symmetry(label, rank, get_rs):
 def test_pairing_table_against_symmetrized_form(label, rank, get_rs):
     """<a, b^vee> must equal 2(a|b)/(b|b) for the invariant form."""
     rs = get_rs(label, rank)
-    for a in range(rs.nroots):
-        for b in range(rs.nroots):
-            assert rs.pairing[a][b] == 2 * rs.form(a, b) / rs.norms2[b]
+    simples = rs.simple_index
+    gram = [[rs.form(i, j) for j in simples] for i in simples]
+    # cols[b][i] = (alpha_i | root_b), so each (a|b) is one rank-length sum
+    cols = [[sum(g * c for g, c in zip(row, r)) for row in gram] for r in rs.roots]
+    for a, ra in enumerate(rs.roots):
+        for b, col in enumerate(cols):
+            form_ab = sum(x * y for x, y in zip(ra, col))
+            assert rs.pairing[a][b] == 2 * form_ab / rs.norms2[b]
 
 
 def test_heights(get_rs):

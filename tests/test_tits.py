@@ -30,6 +30,70 @@ def all_reduced_words(w):
                 yield tail + (i,)
 
 
+def _coroot_bits(rs, k):
+    return tuple(c & 1 for c in rs.coroots[k])
+
+
+def _xor(a, b):
+    return tuple(x ^ y for x, y in zip(a, b))
+
+
+def _ref_multiply(x, y):
+    """The product one letter at a time, composing every partial product."""
+    rs = x.weyl.rs
+    bits = x.bits
+    for i, t in enumerate(y.bits):
+        if t:
+            bits = _xor(bits, _coroot_bits(rs, x.weyl.apply_simple(i + 1)))
+    cur = x.weyl
+    for i in y.weyl.word:
+        img = cur.apply_simple(i)
+        cur = cur * weyl.simple_reflection(rs, i)
+        if img < rs.npos:
+            bits = _xor(bits, _coroot_bits(rs, img))
+    assert cur == x.weyl * y.weyl
+    return tits.TitsElement(bits, cur)
+
+
+def _ref_invert(x):
+    rs = x.weyl.rs
+    out = identity(rs)
+    for i in reversed(x.weyl.word):
+        square = _coroot_bits(rs, rs.simple_index[i - 1])
+        out = _ref_multiply(out, tits.TitsElement(square,
+                                                  weyl.simple_reflection(rs, i)))
+    return _ref_multiply(out, tits.TitsElement(x.bits, weyl.identity(rs)))
+
+
+def _ref_cocycle(u, v):
+    """canonical(uv)^-1 * canonical(u) * canonical(v), multiplied out."""
+    prod = _ref_multiply(canonical(u), canonical(v))
+    defect = _ref_multiply(_ref_invert(canonical(u * v)), prod)
+    assert defect.weyl.is_identity()
+    return defect.bits
+
+
+def test_multiply_and_cocycle_match_reference_exhaustive(get_rs):
+    for label, rank in (("A", 3), ("B", 3), ("C", 3), ("G", 2)):
+        rs = get_rs(label, rank)
+        group = weyl.enumerate_group(rs)
+        for u in group:
+            for v in group:
+                assert multiply(canonical(u), canonical(v)) == \
+                    _ref_multiply(canonical(u), canonical(v))
+                assert cocycle(u, v) == _ref_cocycle(u, v)
+
+
+def test_multiply_matches_reference_with_torus_bits_d4(get_rs):
+    rs = get_rs("D", 4)
+    rng = random.Random(2024)
+    for _ in range(300):
+        x, y = (tits.TitsElement(tuple(rng.randrange(2) for _ in range(rs.rank)),
+                                 weyl.random_element(rs, rng)) for _ in range(2))
+        assert multiply(x, y) == _ref_multiply(x, y)
+        assert invert(x) == _ref_invert(x)
+
+
 def test_identity_element(get_rs):
     rs = get_rs("A", 2)
     e = identity(rs)

@@ -49,6 +49,18 @@ def test_word_is_reduced_and_round_trips(get_rs):
         assert from_word(rs, w.word) == w
 
 
+def test_walk_roots_are_inversion_set_of_inverse(get_rs):
+    for label, rank in (("A", 3), ("B", 3), ("G", 2)):
+        rs = get_rs(label, rank)
+        for w in enumerate_group(rs):
+            assert all(rs.is_positive(b) for b in w.walk)
+            assert len(w.walk) == w.length
+            assert frozenset(w.walk) == inversion_set(w.inverse())
+            assert w.walk == tuple(
+                from_word(rs, w.word[:k]).apply_simple(i)
+                for k, i in enumerate(w.word))
+
+
 def test_matrix_reproduces_perm(get_rs):
     rs = get_rs("C", 3)
     rng = random.Random(3)
