@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -76,7 +77,20 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     for sysdef in cfg["systems"]:
         if "type" not in sysdef or "rank" not in sysdef:
             raise ConfigError("each system needs a type and a rank")
+    qs = cfg["qs"]
+    if not isinstance(qs, list) or not all(map(_is_prime_power, qs)):
+        raise ConfigError(f"qs must be a list of prime powers >= 2, got {qs!r}")
     return cfg
+
+
+def _is_prime_power(q) -> bool:
+    """True iff q is p^k for a prime p and k >= 1 (a finite field size)."""
+    if type(q) is not int or q < 2:
+        return False
+    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def _sysname(sysdef) -> str:
@@ -144,10 +158,7 @@ def _sweep_cocycle(report, rs, name, cfg, rng):
 
 
 def _eligible_omegas(rs, min_order):
-    try:
-        group = affine.omega_group(rs, affine.adjoint_lattice(rs))
-    except Exception:
-        return []
+    group = affine.omega_group(rs, affine.adjoint_lattice(rs))
     return [om for om in group if om.order() >= min_order]
 
 
@@ -459,9 +470,9 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         overrides = {"seed": args.seed, "budget": args.budget}
         cfg = load_config(args.config, overrides)
+        if (args.type_label is None) != (args.rank is None):
+            raise ConfigError("--type and --rank must be given together")
         if args.type_label:
-            if args.rank is None:
-                raise ConfigError("--type requires --rank")
             cfg["systems"] = [{"type": args.type_label, "rank": args.rank}]
         report = run_sweep(cfg)
         validate_report(report)
@@ -496,14 +507,12 @@ def _dispatch(args) -> int:
         return 0 if report["status"] == "pass" else 1
 
     if args.command == "fixer":
-        cfg = load_config(None, {"seed": args.seed})
+        cfg = load_config(None, {"seed": args.seed, "qs": args.q})
         cfg["systems"] = [{"type": args.type_label, "rank": args.rank}]
         cfg["checks"] = {"fixer": True}
         cfg["lambda_samples"] = args.samples
         if args.lattice:
             cfg["lattices"] = [args.lattice]
-        if args.q:
-            cfg["qs"] = args.q
         report = run_sweep(cfg)
         validate_report(report)
         payload = _json_dumps(report) if args.format == "json" \

@@ -7,9 +7,17 @@ precomputed simple-reflection permutation tables.  The
 sign-flip machinery lives here: inversion sets, the two-step flip set
 ``flip_set(u, v)`` of positive roots sent negative by ``v`` and back to
 positive by ``u``, and the coroot-sum functionals built on it.
+
+Each element also caches its inversion-set coroot sum
+S(w) = sum_{b in inv(w)} b^vee in simple-coroot coordinates, built once
+from ``inversion_set``.  Since <a, b^vee> is linear in b^vee, the first
+difference at any root a is then a rank-length dot product with a's
+simple-coroot pairings, checked against the height drop read off ``perm``.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .rootsys import RootSystem
 
@@ -40,7 +48,8 @@ class WeylElement:
     indices following the Bourbaki numbering.
     """
 
-    __slots__ = ("rs", "perm", "_word", "_walk", "_length", "_hash")
+    __slots__ = ("rs", "perm", "_word", "_walk", "_length", "_coroot_sum",
+                 "_hash")
 
     def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
         self.rs = rs
@@ -48,6 +57,7 @@ class WeylElement:
         self._word = None
         self._walk = None
         self._length = None
+        self._coroot_sum = None
         self._hash = None
 
     def __eq__(self, other) -> bool:
@@ -138,6 +148,19 @@ class WeylElement:
         self._walk = tuple(reversed(roots))
 
     @property
+    def coroot_sum(self) -> tuple[int, ...]:
+        """sum_{b in inv(w)} b^vee in simple-coroot coordinates.
+
+        Equals rho^vee - w^-1(rho^vee); it is built from the inversion set,
+        not from that closed form, so first-difference checks stay two-route.
+        """
+        if self._coroot_sum is None:
+            co = self.rs.coroots
+            rows = [co[b] for b in inversion_set(self)]
+            self._coroot_sum = tuple(map(sum, zip((0,) * self.rs.rank, *rows)))
+        return self._coroot_sum
+
+    @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """Action on simple-root coordinates; column j is w(alpha_j)."""
         rs = self.rs
@@ -220,11 +243,14 @@ def flip_functional(u: WeylElement, v: WeylElement, a: int) -> int:
 def check_first_difference(w: WeylElement, a: int) -> bool:
     """Inversion-set coroot sum against the height drop along w.
 
-    Verifies sum_{b in inv(w)} <a, b^vee> == ht(a) - ht(w(a)).
+    Verifies sum_{b in inv(w)} <a, b^vee> == ht(a) - ht(w(a)).  The left
+    side is <a, S(w)> with S(w) = ``w.coroot_sum``, built from inv(w) once
+    per element; ``_psc[a]`` holds a's pairings with the simple coroots.
+    The right side reads only heights and ``w.perm``, so the two sides
+    still come from independent routes.
     """
     rs = w.rs
-    row = rs.pairing[a]
-    lhs = sum(row[b] for b in inversion_set(w))
+    lhs = sum(map(mul, rs._psc[a], w.coroot_sum))
     return lhs == rs.heights[a] - rs.heights[w.perm[a]]
 
 

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from weylrep import cli
+from weylrep import affine, cli
 from weylrep.chevalley import build_constants, table_to_json
 from weylrep.cli import (
     ConfigError,
@@ -156,3 +157,68 @@ def test_cli_table_and_dump(tmp_path, capsys):
 
 def test_default_config_is_json_round_trippable():
     assert json.loads(json.dumps(DEFAULT_CONFIG)) == DEFAULT_CONFIG
+
+
+def test_golden_default_report(tmp_path):
+    """The default sweep's JSON report is pinned byte for byte."""
+    out = tmp_path / "report.json"
+    assert cli.main(["sweep", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "fixtures" / "golden_default_report.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_omega_group_failure_is_not_a_pass(monkeypatch):
+    real = affine.omega_group
+
+    def broken(rs, lattice):
+        if (rs.datum.type_label, rs.rank) == ("D", 5):
+            raise RuntimeError("omega_group broke")
+        return real(rs, lattice)
+
+    monkeypatch.setattr(affine, "omega_group", broken)
+    cfg = load_config(None)
+    cfg["systems"] = [{"type": "D", "rank": 5}]
+    cfg["checks"] = {"second_difference": True, "fibers": True,
+                     "characters": True}
+    try:
+        report = run_sweep(cfg)
+    except RuntimeError as exc:
+        assert "omega_group broke" in str(exc)
+    else:
+        assert report["status"] != "pass"
+
+
+def test_rank_without_type_is_config_error(capsys):
+    assert cli.main(["sweep", "--rank", "3"]) == 2
+    assert "--type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [6, 1, 0, 12, 2.0, "5"])
+def test_non_prime_power_qs_rejected(tmp_path, capsys, q):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"qs": [5, q]}))
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert "qs" in capsys.readouterr().err
+    if isinstance(q, int):
+        assert cli.main(["fixer", "--type", "A", "--rank", "1",
+                         "--q", str(q)]) == 2
+        assert "qs" in capsys.readouterr().err
+
+
+def test_qs_not_a_list_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"qs": 5}))
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27])
+def test_prime_power_qs_accepted(tmp_path, capsys, q):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"qs": [q]}))
+    assert load_config(str(path))["qs"] == [q]
+    assert cli.main(["fixer", "--type", "A", "--rank", "1", "--q", str(q),
+                     "--samples", "2"]) == 0
+    capsys.readouterr()

@@ -157,6 +157,53 @@ def test_first_difference_exhaustive_rank_le_4(label, rank, get_rs):
             assert check_first_difference(w, a)
 
 
+def _table_sum(w, a):
+    """The per-root table route: sum of <a, b^vee> read from ``pairing``."""
+    return sum(w.rs.pairing[a][b] for b in inversion_set(w))
+
+
+@pytest.mark.parametrize("label,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_coroot_sum_matches_table_sum_oracle(label, rank, get_rs):
+    rs = get_rs(label, rank)
+    for w in enumerate_group(rs):
+        inv = inversion_set(w)
+        assert w.coroot_sum == tuple(
+            sum(rs.coroots[b][i] for b in inv) for i in range(rs.rank))
+        for a in range(rs.nroots):
+            lhs = sum(x * y for x, y in zip(rs._psc[a], w.coroot_sum))
+            assert lhs == _table_sum(w, a)
+
+
+def test_first_difference_independent_of_call_order(get_rs):
+    rs = get_rs("B", 3)
+    w = from_word(rs, (1, 2, 3, 2))
+    forward = [check_first_difference(w, a) for a in range(rs.nroots)]
+    fresh = from_word(rs, (1, 2, 3, 2))
+    backward = [check_first_difference(fresh, a)
+                for a in reversed(range(rs.nroots))]
+    assert forward == backward[::-1] == [True] * rs.nroots
+    assert fresh.coroot_sum == w.coroot_sum
+    e = identity(rs)
+    assert e.coroot_sum == (0,) * rs.rank
+    assert from_word(rs, ()).coroot_sum == (0,) * rs.rank
+    assert all(check_first_difference(e, a) for a in range(rs.nroots))
+
+
+def test_first_difference_rejects_a_non_group_permutation(get_rs):
+    """Swapping two positive roots of different heights is not in W; the
+    check must catch it, so it is not true for every permutation."""
+    rs = get_rs("A", 3)
+    a = rs.simple_index[0]
+    b = rs.highest_root
+    assert rs.heights[a] != rs.heights[b]
+    perm = list(range(rs.nroots))
+    perm[a], perm[b] = b, a
+    w = weyl.WeylElement(rs, tuple(perm))
+    assert w.coroot_sum == (0,) * rs.rank
+    assert not (check_first_difference(w, a) and check_first_difference(w, b))
+
+
 def test_first_difference_longest_recovers_height(get_rs):
     rs = get_rs("B", 3)
     w0 = longest_element(rs)
