@@ -8,12 +8,11 @@ torus-normalizer representatives (``tits``), alcove-stabilizer data
 system (``fixer``).  ``cli`` orchestrates verification sweeps.
 """
 
-from .rootsys import CartanDatum, RootSystem, build_root_system, cartan_datum, root_system
+from .rootsys import CartanDatum, RootSystem, cartan_datum, root_system
 
 __all__ = [
     "CartanDatum",
     "RootSystem",
-    "build_root_system",
     "cartan_datum",
     "root_system",
 ]

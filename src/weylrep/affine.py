@@ -49,11 +49,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CocharLattice:
-    """A lattice between Q^vee and P^vee, by a basis in simple-coroot coords."""
+    """A lattice between Q^vee and P^vee, by a basis in simple-coroot coords.
+
+    ``pairing[i][k]`` is the integer <alpha_i, basis_k>.
+    """
 
     name: str
     basis: tuple[tuple[Fraction, ...], ...]
     index_in_coroot: int  # order of (this lattice) / Q^vee
+    pairing: tuple[tuple[int, ...], ...]
 
 
 def _make_lattice(rs: RootSystem, name: str, rows) -> CocharLattice:
@@ -64,23 +68,21 @@ def _make_lattice(rs: RootSystem, name: str, rows) -> CocharLattice:
     index = Fraction(1) / abs(det)
     if index.denominator != 1:
         raise ValueError("basis does not contain the coroot lattice with finite index")
-    lat = CocharLattice(name, basis, int(index))
-    _validate_between(rs, lat)
-    return lat
-
-
-def _validate_between(rs: RootSystem, lat: CocharLattice) -> None:
-    binv = intmat.mat_inv([list(r) for r in lat.basis])
+    binv = intmat.mat_inv([list(r) for r in basis])
     for row in binv:  # Q^vee inside: e_i in integer span of basis
         for x in row:
             if Fraction(x).denominator != 1:
-                raise ValueError(f"{lat.name}: coroot lattice not contained")
+                raise ValueError(f"{name}: coroot lattice not contained")
     cartan = rs.datum.cartan_matrix
-    for row in lat.basis:  # inside P^vee: pairings with simple roots integral
-        for i in range(rs.rank):
-            val = sum(row[j] * cartan[j][i] for j in range(rs.rank))
-            if Fraction(val).denominator != 1:
-                raise ValueError(f"{lat.name}: not contained in the coweight lattice")
+    rank = rs.rank
+    pairing = [[sum(basis[k][j] * cartan[j][i] for j in range(rank))
+                for k in range(rank)] for i in range(rank)]
+    for row in pairing:  # inside P^vee: pairings with simple roots integral
+        for x in row:
+            if x.denominator != 1:
+                raise ValueError(f"{name}: not contained in the coweight lattice")
+    return CocharLattice(name, basis, int(index),
+                         tuple(tuple(int(x) for x in row) for row in pairing))
 
 
 def fundamental_coweights(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:

@@ -26,7 +26,6 @@ __all__ = [
     "table_from_json",
     "ScalarTable",
     "scalar_table",
-    "c_generator",
     "c_word",
     "ad_word_sign",
     "DependenceRelation",
@@ -264,6 +263,7 @@ class ScalarTable:
     signed_perm: tuple[tuple[tuple[int, int], ...], ...]  # [i-1][root] = (img, sign)
 
     def c(self, i: int, a: int) -> int:
+        """Scalar by which Ad(n_i) carries the a-root vector to the s_i(a) one."""
         return self.signed_perm[i - 1][a][1]
 
 
@@ -358,11 +358,6 @@ def scalar_table(table: StructureConstantTable) -> ScalarTable:
                     raise AssertionError("Ad(n) is not integral on the Cartan part")
         perms.append(tuple(sp))
     return ScalarTable(rs, table.convention_id, tuple(perms))
-
-
-def c_generator(scalars: ScalarTable, i: int, a: int) -> int:
-    """Scalar by which Ad(n_i) carries the a-root vector to the s_i(a) one."""
-    return scalars.c(i, a)
 
 
 def c_word(scalars: ScalarTable, w: WeylElement, a: int) -> int:

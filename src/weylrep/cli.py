@@ -4,7 +4,8 @@ One binary with subcommands.  A sweep executes the enabled checks over a
 grid of root systems and writes a deterministic JSON report: identical
 config and seed give byte-identical output, and every failed check
 carries a replayable witness.  Exit codes: 0 all-pass, 1 verdict
-failure, 2 usage or config errors.
+failure, 2 usage or config errors.  The ``cocycle`` and ``fixer``
+subcommands are presets of ``sweep``.
 """
 
 from __future__ import annotations
@@ -14,87 +15,49 @@ import json
 import math
 import random
 import sys
+from functools import cached_property
 
 from . import affine, chevalley, fixer, tits, weyl
 from .rootsys import root_system, rootsys_to_json
 
 REPORT_SCHEMA_VERSION = 1
 
-DEFAULT_CONFIG = {
-    "seed": 20240901,
-    "budget": 10_000,       # exhaustive element enumeration cap on |W|
-    "pair_budget": 10_000,  # exhaustive pair sweeps cap on |W|^2
-    "samples": 2000,        # sampled pairs/elements beyond the budgets
-    "lambda_samples": 20,
-    "qs": [5, 7, 13],
-    "lattices": "all",
-    "systems": [{"type": "A", "rank": 1}, {"type": "A", "rank": 2},
-                {"type": "A", "rank": 3}],
-    "checks": {
-        "first_difference": True,
-        "cocycle": True,
-        "second_difference": True,
-        "fibers": True,
-        "characters": True,
-        "fixer": True,
-    },
-    "tables": [],
-    "constants_fixture": None,
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config must be a JSON object")
-        for key, val in user.items():
-            if key == "checks":
-                if not isinstance(val, dict):
-                    raise ConfigError("checks must be a JSON object")
-                unknown = sorted(set(val) - set(cfg["checks"]))
-                if unknown:
-                    raise ConfigError(f"unknown checks {unknown}; "
-                                      f"known checks: {sorted(cfg['checks'])}")
-                cfg["checks"].update(val)
-            elif key in cfg:
-                cfg[key] = val
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-    if overrides:
-        for key, val in overrides.items():
-            if val is not None:
-                cfg[key] = val
-    for sysdef in cfg["systems"]:
-        if "type" not in sysdef or "rank" not in sysdef:
-            raise ConfigError("each system needs a type and a rank")
-    qs = cfg["qs"]
-    if not isinstance(qs, list) or not all(map(_is_prime_power, qs)):
-        raise ConfigError(f"qs must be a list of prime powers >= 2, got {qs!r}")
-    return cfg
-
-
-def _is_prime_power(q) -> bool:
-    """True iff q is p^k for a prime p and k >= 1 (a finite field size)."""
-    if type(q) is not int or q < 2:
-        return False
-    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
 def _sysname(sysdef) -> str:
     return f"{sysdef['type']}{sysdef['rank']}"
+
+
+class SystemContext:
+    """One configured system and the derived tables its checks share.
+
+    Each table is built the first time a check asks for it and then kept
+    for the system's other checks; building one draws nothing from the
+    sweep's RNG.
+    """
+
+    def __init__(self, sysdef: dict):
+        self.name = _sysname(sysdef)
+        self.rs = root_system(sysdef["type"], sysdef["rank"])
+        self.order = weyl.group_order(self.rs)
+
+    @cached_property
+    def group(self) -> list:
+        """Every element of W, for the exhaustive element and pair sweeps."""
+        return weyl.enumerate_group(self.rs)
+
+    @cached_property
+    def omegas(self) -> tuple:
+        """The alcove-stabilizer group of the adjoint lattice."""
+        return affine.omega_group(self.rs, affine.adjoint_lattice(self.rs))
+
+    @cached_property
+    def scalars(self) -> chevalley.ScalarTable:
+        """Conjugation scalars of the default structure constants."""
+        return chevalley.scalar_table(chevalley.build_constants(self.rs))
 
 
 def _check(report, name, system, mode, count, passed, counterexample=None):
@@ -108,15 +71,13 @@ def _check(report, name, system, mode, count, passed, counterexample=None):
     })
 
 
-def _elements(rs, budget, samples, rng):
-    order = weyl.group_order(rs)
-    if order <= budget:
-        return weyl.enumerate_group(rs), "exhaustive"
-    return [weyl.random_element(rs, rng) for _ in range(samples)], "sampled"
-
-
-def _sweep_first_difference(report, rs, name, cfg, rng):
-    elements, mode = _elements(rs, cfg["budget"], cfg["samples"], rng)
+def _sweep_first_difference(report, ctx, cfg, rng):
+    rs, name = ctx.rs, ctx.name
+    if ctx.order <= cfg["budget"]:
+        elements, mode = ctx.group, "exhaustive"
+    else:
+        elements = [weyl.random_element(rs, rng) for _ in range(cfg["samples"])]
+        mode = "sampled"
     count = 0
     for w in elements:
         for a in range(rs.nroots):
@@ -132,13 +93,13 @@ def _sweep_first_difference(report, rs, name, cfg, rng):
     _check(report, "first_difference", name, mode, count, True)
 
 
-def _sweep_cocycle(report, rs, name, cfg, rng):
-    order = weyl.group_order(rs)
-    if order * order <= cfg["pair_budget"]:
+def _sweep_cocycle(report, ctx, cfg, rng):
+    rs, name = ctx.rs, ctx.name
+    if ctx.order * ctx.order <= cfg["pair_budget"]:
         mode = "exhaustive"
-        group = weyl.enumerate_group(rs)
+        group = ctx.group
         pairs = ((u, v) for u in group for v in group)
-        total = order * order
+        total = ctx.order * ctx.order
     else:
         mode = "sampled"
         pool = [weyl.random_element(rs, rng) for _ in range(max(64, min(1024, cfg["samples"])))]
@@ -157,14 +118,14 @@ def _sweep_cocycle(report, rs, name, cfg, rng):
     _check(report, "cocycle", name, mode, count, True)
 
 
-def _eligible_omegas(rs, min_order):
-    group = affine.omega_group(rs, affine.adjoint_lattice(rs))
-    return [om for om in group if om.order() >= min_order]
+def _eligible_omegas(ctx, min_order):
+    return [om for om in ctx.omegas if om.order() >= min_order]
 
 
-def _sweep_second_difference(report, rs, name):
+def _sweep_second_difference(report, ctx, cfg, rng):
+    rs, name = ctx.rs, ctx.name
     count = 0
-    for om in _eligible_omegas(rs, 2):
+    for om in _eligible_omegas(ctx, 2):
         if not affine.check_flip_sum_even(rs, om.sigma):
             _check(report, "second_difference", name, "exhaustive", count, False,
                    {"class_node": om.class_node, "failure": "parity"})
@@ -182,9 +143,10 @@ def _sweep_second_difference(report, rs, name):
     _check(report, "second_difference", name, "exhaustive", count, True)
 
 
-def _sweep_fibers(report, rs, name):
+def _sweep_fibers(report, ctx, cfg, rng):
+    rs, name = ctx.rs, ctx.name
     count = 0
-    for om in _eligible_omegas(rs, 3):
+    for om in _eligible_omegas(ctx, 3):
         try:
             datum = affine.sigma_rs(rs, om.sigma)  # asserts constant fibers
         except AssertionError as exc:
@@ -200,7 +162,8 @@ def _sweep_fibers(report, rs, name):
     _check(report, "fibers", name, "exhaustive", count, True)
 
 
-def _sweep_characters(report, rs, name, cfg):
+def _sweep_characters(report, ctx, cfg, rng):
+    rs, name = ctx.rs, ctx.name
     if cfg.get("constants_fixture"):
         try:
             with open(cfg["constants_fixture"], "r", encoding="utf-8") as fh:
@@ -213,12 +176,12 @@ def _sweep_characters(report, rs, name, cfg):
                    {"failure": "jacobi",
                     "triple": [rs.root_name(k) for k in bad]})
             return
+        scalars = chevalley.scalar_table(table)
     else:
-        table = chevalley.build_constants(rs)
-    scalars = chevalley.scalar_table(table)
+        scalars = ctx.scalars
     rel = chevalley.highest_root_relation(rs)
     count = 0
-    for om in _eligible_omegas(rs, 1):
+    for om in _eligible_omegas(ctx, 1):
         count += 1
         if chevalley.evaluate_character(scalars, rel, om.sigma) != 1:
             _check(report, "characters", name, "exhaustive", count, False,
@@ -227,40 +190,129 @@ def _sweep_characters(report, rs, name, cfg):
     _check(report, "characters", name, "exhaustive", count, True)
 
 
-def _select_lattices(rs, cfg):
-    lats = affine.all_lattices(rs)
-    wanted = cfg.get("lattices", "all")
+def _select_lattices(ctx, cfg):
+    lats = affine.all_lattices(ctx.rs)
+    wanted = cfg["lattices"]
     if wanted == "all":
         return lats
     chosen = [lat for lat in lats if lat.name in wanted]
     if not chosen:
-        raise ConfigError(f"no lattice of {_sysname_rs(rs)} matches {wanted}; "
+        raise ConfigError(f"no lattice of {ctx.name} matches {wanted}; "
                           f"available: {[lat.name for lat in lats]}")
     return chosen
 
 
-def _sysname_rs(rs) -> str:
-    return f"{rs.datum.type_label}{rs.rank}"
-
-
-def _sweep_fixer(report, rs, name, cfg, rng):
-    table = chevalley.build_constants(rs)
-    scalars = chevalley.scalar_table(table)
+def _sweep_fixer(report, ctx, cfg, rng):
+    rs, name = ctx.rs, ctx.name
     count = 0
-    for lat in _select_lattices(rs, cfg):
+    for lat in _select_lattices(ctx, cfg):
         for om in affine.omega_group(rs, lat):
             for q in cfg["qs"]:
                 units = fixer.UnitGroup(q - 1)
                 for _ in range(cfg["lambda_samples"]):
                     lam = fixer.random_functional(rng, units, rs.rank)
-                    system = fixer.build_system(rs, lat, om, lam, scalars, units)
                     count += 1
-                    if fixer.solve(system) is None:
+                    witness = {"lattice": lat.name, "class_node": om.class_node,
+                               "q": q, "lambda": list(lam.values)}
+                    try:
+                        system = fixer.build_system(rs, lat, om, lam,
+                                                    ctx.scalars, units)
+                    except fixer.InconsistentSystemError as exc:
+                        witness["failure"] = str(exc)
+                        system = None
+                    if system is None or fixer.solve(system) is None:
                         _check(report, "fixer", name, "sampled", count, False,
-                               {"lattice": lat.name, "class_node": om.class_node,
-                                "q": q, "lambda": list(lam.values)})
+                               witness)
                         return
     _check(report, "fixer", name, "sampled", count, True)
+
+
+# The checks a sweep runs on each system, in report order.
+CHECKS = {
+    "first_difference": _sweep_first_difference,
+    "cocycle": _sweep_cocycle,
+    "second_difference": _sweep_second_difference,
+    "fibers": _sweep_fibers,
+    "characters": _sweep_characters,
+    "fixer": _sweep_fixer,
+}
+
+DEFAULT_CONFIG = {
+    "seed": 20240901,
+    "budget": 10_000,       # exhaustive element enumeration cap on |W|
+    "pair_budget": 10_000,  # exhaustive pair sweeps cap on |W|^2
+    "samples": 2000,        # sampled pairs/elements beyond the budgets
+    "lambda_samples": 20,
+    "qs": [5, 7, 13],
+    "lattices": "all",
+    "systems": [{"type": "A", "rank": 1}, {"type": "A", "rank": 2},
+                {"type": "A", "rank": 3}],
+    "checks": dict.fromkeys(CHECKS, True),
+    "tables": [],
+    "constants_fixture": None,
+}
+
+def load_config(path: str | None, overrides: dict | None = None) -> dict:
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                user = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError("config must be a JSON object")
+        for key, val in user.items():
+            if key == "checks":
+                if not isinstance(val, dict):
+                    raise ConfigError("checks must be a JSON object")
+                unknown = sorted(set(val) - set(CHECKS))
+                if unknown:
+                    raise ConfigError(f"unknown checks {unknown}; "
+                                      f"known checks: {sorted(CHECKS)}")
+                cfg["checks"].update(val)
+            elif key in cfg:
+                cfg[key] = val
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+    if overrides:
+        for key, val in overrides.items():
+            if val is not None:
+                cfg[key] = val
+    _validate(cfg)
+    return cfg
+
+
+def _validate(cfg: dict) -> None:
+    for key in ("systems", "tables"):
+        defs = cfg[key]
+        if not isinstance(defs, list) or not all(
+                isinstance(d, dict) and isinstance(d.get("type"), str)
+                and type(d.get("rank")) is int for d in defs):
+            raise ConfigError(f"{key} must be a list of objects with a string "
+                              f"type and an int rank, got {defs!r}")
+    for key in ("seed", "budget", "pair_budget", "samples", "lambda_samples"):
+        val = cfg[key]
+        if type(val) is not int or val < 0:
+            raise ConfigError(f"{key} must be a non-negative int, got {val!r}")
+    lattices = cfg["lattices"]
+    if lattices != "all" and not (isinstance(lattices, list) and
+                                  all(isinstance(x, str) for x in lattices)):
+        raise ConfigError(f'lattices must be "all" or a list of lattice names, '
+                          f"got {lattices!r}")
+    qs = cfg["qs"]
+    if not isinstance(qs, list) or not all(map(_is_prime_power, qs)):
+        raise ConfigError(f"qs must be a list of prime powers >= 2, got {qs!r}")
+
+
+def _is_prime_power(q) -> bool:
+    """True iff q is p^k for a prime p and k >= 1 (a finite field size)."""
+    if type(q) is not int or q < 2:
+        return False
+    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def run_sweep(cfg: dict) -> dict:
@@ -273,21 +325,10 @@ def run_sweep(cfg: dict) -> dict:
     }
     rng = random.Random(cfg["seed"])
     for sysdef in cfg["systems"]:
-        rs = root_system(sysdef["type"], sysdef["rank"])
-        name = _sysname(sysdef)
-        checks = cfg["checks"]
-        if checks.get("first_difference"):
-            _sweep_first_difference(report, rs, name, cfg, rng)
-        if checks.get("cocycle"):
-            _sweep_cocycle(report, rs, name, cfg, rng)
-        if checks.get("second_difference"):
-            _sweep_second_difference(report, rs, name)
-        if checks.get("fibers"):
-            _sweep_fibers(report, rs, name)
-        if checks.get("characters"):
-            _sweep_characters(report, rs, name, cfg)
-        if checks.get("fixer"):
-            _sweep_fixer(report, rs, name, cfg, rng)
+        ctx = SystemContext(sysdef)
+        for name, sweep in CHECKS.items():
+            if cfg["checks"].get(name):
+                sweep(report, ctx, cfg, rng)
     for tabdef in cfg["tables"]:
         rs = root_system(tabdef["type"], tabdef["rank"])
         doc = emit_table_doc(rs, tabdef.get("node"))
@@ -416,14 +457,18 @@ def main(argv=None) -> int:
         description="verification sweeps for Weyl-group representative combinatorics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="run the configured checks")
+    # sweep and its presets share one report path; unset values come from the config
+    report_opts = argparse.ArgumentParser(add_help=False)
+    report_opts.add_argument("--seed", type=int)
+    report_opts.add_argument("--format", choices=("json", "text"), default="json")
+    report_opts.add_argument("--out")
+
+    p_sweep = sub.add_parser("sweep", parents=[report_opts],
+                             help="run the configured checks")
     p_sweep.add_argument("--config", help="JSON config file")
     p_sweep.add_argument("--type", dest="type_label")
     p_sweep.add_argument("--rank", type=int)
-    p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--budget", type=int)
-    p_sweep.add_argument("--format", choices=("json", "text"), default="json")
-    p_sweep.add_argument("--out")
 
     p_table = sub.add_parser("table", help="emit an additive-triple table")
     p_table.add_argument("--type", dest="type_label", required=True)
@@ -432,26 +477,22 @@ def main(argv=None) -> int:
     p_table.add_argument("--format", choices=("json", "text"), default="text")
     p_table.add_argument("--out")
 
-    p_coc = sub.add_parser("cocycle", help="cocycle-formula sweep for one system")
+    p_coc = sub.add_parser("cocycle", parents=[report_opts],
+                           help="cocycle-formula sweep for one system")
     p_coc.add_argument("--type", dest="type_label", required=True)
     p_coc.add_argument("--rank", type=int, required=True)
-    p_coc.add_argument("--seed", type=int, default=DEFAULT_CONFIG["seed"])
-    p_coc.add_argument("--samples", type=int, default=DEFAULT_CONFIG["samples"])
+    p_coc.add_argument("--samples", type=int)
     p_coc.add_argument("--budget", type=int, default=DEFAULT_CONFIG["pair_budget"])
     p_coc.add_argument("--dump", action="store_true",
                        help="emit the full (u, v) -> bits table instead of a sweep")
-    p_coc.add_argument("--format", choices=("json", "text"), default="json")
-    p_coc.add_argument("--out")
 
-    p_fix = sub.add_parser("fixer", help="solvability sweep for one system")
+    p_fix = sub.add_parser("fixer", parents=[report_opts],
+                           help="solvability sweep for one system")
     p_fix.add_argument("--type", dest="type_label", required=True)
     p_fix.add_argument("--rank", type=int, required=True)
     p_fix.add_argument("--lattice", help="restrict to one lattice by name")
     p_fix.add_argument("--q", type=int, action="append")
-    p_fix.add_argument("--seed", type=int, default=DEFAULT_CONFIG["seed"])
-    p_fix.add_argument("--samples", type=int, default=DEFAULT_CONFIG["lambda_samples"])
-    p_fix.add_argument("--format", choices=("json", "text"), default="json")
-    p_fix.add_argument("--out")
+    p_fix.add_argument("--samples", type=int)
 
     p_dump = sub.add_parser("dump-rootsys", help="canonical root-system document")
     p_dump.add_argument("--type", dest="type_label", required=True)
@@ -466,21 +507,28 @@ def main(argv=None) -> int:
         return 2
 
 
-def _dispatch(args) -> int:
+def _sweep_config(args) -> dict:
+    """The config that ``sweep``, or its ``cocycle`` or ``fixer`` preset, runs."""
     if args.command == "sweep":
-        overrides = {"seed": args.seed, "budget": args.budget}
-        cfg = load_config(args.config, overrides)
         if (args.type_label is None) != (args.rank is None):
             raise ConfigError("--type and --rank must be given together")
-        if args.type_label:
-            cfg["systems"] = [{"type": args.type_label, "rank": args.rank}]
-        report = run_sweep(cfg)
-        validate_report(report)
-        payload = _json_dumps(report) if args.format == "json" \
-            else _report_text(report)
-        _emit(payload, args.out)
-        return 0 if report["status"] == "pass" else 1
+        systems = ([{"type": args.type_label, "rank": args.rank}]
+                   if args.type_label else None)
+        return load_config(args.config, {"seed": args.seed, "budget": args.budget,
+                                         "systems": systems})
+    overrides = {"seed": args.seed,
+                 "systems": [{"type": args.type_label, "rank": args.rank}]}
+    if args.command == "cocycle":
+        overrides.update(samples=args.samples, pair_budget=args.budget,
+                         checks={"cocycle": True})
+    else:
+        overrides.update(qs=args.q, lambda_samples=args.samples,
+                         checks={"fixer": True},
+                         lattices=[args.lattice] if args.lattice else None)
+    return load_config(None, overrides)
 
+
+def _dispatch(args) -> int:
     if args.command == "table":
         rs = root_system(args.type_label, args.rank)
         doc = emit_table_doc(rs, args.node)
@@ -489,43 +537,23 @@ def _dispatch(args) -> int:
         _emit(payload, args.out)
         return 0
 
-    if args.command == "cocycle":
-        if args.dump:
-            _emit(_json_dumps(cocycle_table_doc(
-                root_system(args.type_label, args.rank), args.budget)),
-                args.out)
-            return 0
-        cfg = load_config(None, {"seed": args.seed, "samples": args.samples,
-                                 "pair_budget": args.budget})
-        cfg["systems"] = [{"type": args.type_label, "rank": args.rank}]
-        cfg["checks"] = {"cocycle": True}
-        report = run_sweep(cfg)
-        validate_report(report)
-        payload = _json_dumps(report) if args.format == "json" \
-            else _report_text(report)
-        _emit(payload, args.out)
-        return 0 if report["status"] == "pass" else 1
-
-    if args.command == "fixer":
-        cfg = load_config(None, {"seed": args.seed, "qs": args.q})
-        cfg["systems"] = [{"type": args.type_label, "rank": args.rank}]
-        cfg["checks"] = {"fixer": True}
-        cfg["lambda_samples"] = args.samples
-        if args.lattice:
-            cfg["lattices"] = [args.lattice]
-        report = run_sweep(cfg)
-        validate_report(report)
-        payload = _json_dumps(report) if args.format == "json" \
-            else _report_text(report)
-        _emit(payload, args.out)
-        return 0 if report["status"] == "pass" else 1
-
     if args.command == "dump-rootsys":
         rs = root_system(args.type_label, args.rank)
         _emit(_json_dumps(rootsys_to_json(rs)), args.out)
         return 0
 
-    raise ConfigError(f"unknown command {args.command!r}")
+    if args.command == "cocycle" and args.dump:
+        _emit(_json_dumps(cocycle_table_doc(
+            root_system(args.type_label, args.rank), args.budget)),
+            args.out)
+        return 0
+
+    report = run_sweep(_sweep_config(args))
+    validate_report(report)
+    payload = _json_dumps(report) if args.format == "json" \
+        else _report_text(report)
+    _emit(payload, args.out)
+    return 0 if report["status"] == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -109,21 +109,6 @@ def build_system(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
     return FixerSystem(rs, lat, omega, units, tuple(targets))
 
 
-def _pairing_matrix(rs: RootSystem, lat: CocharLattice):
-    """M[i][k] = <alpha_i, basis_k>, guaranteed integral inside P^vee."""
-    cartan = rs.datum.cartan_matrix
-    m = []
-    for i in range(rs.rank):
-        row = []
-        for k in range(rs.rank):
-            val = sum(lat.basis[k][j] * cartan[j][i] for j in range(rs.rank))
-            if Fraction(val).denominator != 1:
-                raise ValueError("lattice basis pairs fractionally with a root")
-            row.append(int(val))
-        m.append(row)
-    return m
-
-
 def solve(system: FixerSystem):
     """A witness t (coordinates in the lattice basis, mod N), or None.
 
@@ -132,7 +117,7 @@ def solve(system: FixerSystem):
     """
     rs = system.rs
     n = system.units.order
-    m = _pairing_matrix(rs, system.lattice)
+    m = system.lattice.pairing
     b = list(system.targets[1:])
     x = intmat.solve_mod(m, b, n)
     if x is None:
@@ -239,12 +224,9 @@ def obstruction(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
     witness = solve(build_system(rs, adj, adj_omega, lam, scalars, units))
     if witness is None:
         raise AssertionError("adjoint system unexpectedly unsolvable")
-    cartan = rs.datum.cartan_matrix
     val = 0
     for i in range(rs.rank):
-        pair_i = [sum(Fraction(adj.basis[k][j]) * cartan[j][i]
-                      for j in range(rs.rank)) for k in range(rs.rank)]
-        val += chi.coeffs[i] * sum(int(pair_i[k]) * witness[k]
+        val += chi.coeffs[i] * sum(adj.pairing[i][k] * witness[k]
                                    for k in range(rs.rank))
     modulus = gcd(chi.d, n)
     return ObstructionClass(val % modulus if modulus > 1 else 0,

@@ -20,7 +20,6 @@ __all__ = [
     "CartanDatum",
     "cartan_datum",
     "RootSystem",
-    "build_root_system",
     "root_system",
     "root_string",
     "is_simply_laced",
@@ -309,10 +308,6 @@ def _close_positive_roots(cartan, rank) -> set[tuple[int, ...]]:
                         nxt.append(t)
         layer = nxt
     return pos
-
-
-def build_root_system(datum: CartanDatum) -> RootSystem:
-    return RootSystem(datum)
 
 
 def root_system(type_label: str, rank: int) -> RootSystem:

@@ -32,7 +32,6 @@ __all__ = [
     "check_first_difference",
     "check_flip_symmetry",
     "longest_element",
-    "parabolic_longest",
     "group_order",
     "GroupTooLarge",
     "enumerate_group",
@@ -263,15 +262,11 @@ def check_flip_symmetry(w: WeylElement) -> bool:
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    return parabolic_longest(rs, range(1, rs.rank + 1))
-
-
-def parabolic_longest(rs: RootSystem, simple_indices) -> WeylElement:
-    """Longest element of the parabolic generated by the given simples."""
+    """w0: right-multiply by s_i while some x(alpha_i) is still positive."""
     npos = rs.npos
     x = identity(rs)
     while True:
-        i = next((i for i in simple_indices
+        i = next((i for i in range(1, rs.rank + 1)
                   if x.perm[rs.simple_index[i - 1]] >= npos), None)
         if i is None:
             return x

@@ -198,9 +198,9 @@ def test_criterion_7_trivial_character(get_rs, get_scalars):
     rel = chevalley.dependence_relation(
         rs, [(1, short), (1, rs.index[(1, 1)]), (-1, rs.index[(1, 2)])])
     s = weyl.simple_reflection(rs, 1)
-    triple = (chevalley.c_generator(fixture, 1, short),
-              chevalley.c_generator(fixture, 1, rs.index[(1, 1)]),
-              chevalley.c_generator(fixture, 1, rs.index[(1, 2)]))
+    triple = (fixture.c(1, short),
+              fixture.c(1, rs.index[(1, 1)]),
+              fixture.c(1, rs.index[(1, 2)]))
     ok = ok and triple == (1, -1, 1)
     ok = ok and chevalley.evaluate_character(fixture, rel, s) == -1
     _verdict(7, ok, f"highest-root-relation character trivial on all {count} "

@@ -291,3 +291,27 @@ def test_class_representatives_live_in_their_lattice(get_rs):
                     affine.fundamental_coweights(rs)[om.class_node - 1]
             else:
                 assert om.class_rep == (Fraction(0),) * rs.rank
+
+
+PAIRING_TYPES = ([("A", n) for n in range(1, 8)] + [("B", n) for n in (2, 3, 4)]
+                 + [("C", n) for n in (2, 3, 4)] + [("D", n) for n in (4, 5, 6, 7)]
+                 + [("E", n) for n in (6, 7, 8)] + [("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("label,rank", PAIRING_TYPES)
+def test_lattice_pairing_matches_fraction_oracle(label, rank, get_rs):
+    """pairing[i][k] = <alpha_i, basis_k>, summed in Fractions per entry."""
+    rs = get_rs(label, rank)
+    cartan = rs.datum.cartan_matrix
+    for lat in all_lattices(rs):
+        oracle = [[sum(Fraction(lat.basis[k][j]) * cartan[j][i]
+                       for j in range(rank)) for k in range(rank)]
+                  for i in range(rank)]
+        assert [list(row) for row in lat.pairing] == oracle
+        assert all(type(x) is int for row in lat.pairing for x in row)
+
+
+def test_fractional_pairing_is_rejected(get_rs):
+    """A1 with basis alpha^vee / 4 contains Q^vee but not in P^vee."""
+    with pytest.raises(ValueError, match="coweight lattice"):
+        affine._make_lattice(get_rs("A", 1), "quarter", [[Fraction(1, 4)]])

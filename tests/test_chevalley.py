@@ -7,7 +7,6 @@ from weylrep import affine, weyl
 from weylrep.chevalley import (
     ad_word_sign,
     build_constants,
-    c_generator,
     c_word,
     constants_from_special_pairs,
     dependence_relation,
@@ -85,10 +84,10 @@ def test_scalar_table_invariants(label, rank, get_rs, get_scalars):
     simples = set(rs.simple_index)
     for i in range(1, rs.rank + 1):
         for a in range(rs.nroots):
-            assert c_generator(scalars, i, a) * \
-                c_generator(scalars, i, rs.neg[a]) == 1
+            assert scalars.c(i, a) * \
+                scalars.c(i, rs.neg[a]) == 1
             if a in simples and rs.simple_perms[i - 1][a] in simples:
-                assert c_generator(scalars, i, a) == 1
+                assert scalars.c(i, a) == 1
 
 
 def test_c_word_identity_and_simple_chains(get_rs, get_scalars):
@@ -250,9 +249,9 @@ def test_b2_fixture_reproduces_cited_values(get_rs):
     short = rs.simple_index[1]
     gamma = rs.index[(1, 1)]
     theta = rs.index[(1, 2)]
-    assert c_generator(scalars, 1, short) == 1
-    assert c_generator(scalars, 1, gamma) == -1
-    assert c_generator(scalars, 1, theta) == 1
+    assert scalars.c(1, short) == 1
+    assert scalars.c(1, gamma) == -1
+    assert scalars.c(1, theta) == 1
     s = weyl.simple_reflection(rs, 1)
     rel = dependence_relation(rs, [(1, short), (1, gamma), (-1, theta)])
     assert fixes_relation(s, rel)

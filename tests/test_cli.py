@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from weylrep import affine, cli
+from weylrep import affine, chevalley, cli, fixer
 from weylrep.chevalley import build_constants, table_to_json
 from weylrep.cli import (
     ConfigError,
@@ -167,6 +167,24 @@ def test_golden_default_report(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("golden_d5_e6_report.json", ["sweep", "--config", "CONFIG"]),
+    ("golden_cocycle_b2_report.json", ["cocycle", "--type", "B", "--rank", "2"]),
+    ("golden_fixer_a2_report.json", ["fixer", "--type", "A", "--rank", "2",
+                                     "--q", "5", "--samples", "5"]),
+])
+def test_golden_reports(tmp_path, golden, argv):
+    """A D5+E6 all-checks sweep and the cocycle and fixer presets, byte for byte."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"systems": [{"type": "D", "rank": 5},
+                                              {"type": "E", "rank": 6}]}))
+    out = tmp_path / "report.json"
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    path = Path(__file__).parent / "fixtures" / golden
+    assert out.read_bytes() == path.read_bytes()
+
+
 def test_omega_group_failure_is_not_a_pass(monkeypatch):
     real = affine.omega_group
 
@@ -222,3 +240,74 @@ def test_prime_power_qs_accepted(tmp_path, capsys, q):
     assert cli.main(["fixer", "--type", "A", "--rank", "1", "--q", str(q),
                      "--samples", "2"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("user", [
+    {"systems": 5},
+    {"systems": [5]},
+    {"systems": [{"type": "A", "rank": "3"}]},
+    {"systems": [{"type": 1, "rank": 3}]},
+    {"systems": [{"type": "A", "rank": True}]},
+    {"tables": [{"type": "A"}]},
+    {"budget": None},
+    {"systems": [{"type": "E", "rank": 6}], "samples": "x"},
+    {"seed": True},
+    {"pair_budget": -1},
+    {"lambda_samples": 2.5},
+    {"lattices": "SO"},
+    {"lattices": [1]},
+    {"lattices": 5},
+])
+def test_bad_config_types_are_config_errors(tmp_path, capsys, user):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(user))
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_refuted_trivial_character_is_a_failure(monkeypatch, tmp_path):
+    def refuted(*args):
+        raise fixer.InconsistentSystemError("weighted row product is 2 (mod 4)")
+
+    monkeypatch.setattr(fixer, "build_system", refuted)
+    out = tmp_path / "report.json"
+    assert cli.main(["fixer", "--type", "A", "--rank", "2", "--q", "5",
+                     "--samples", "3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    validate_report(report)
+    assert report["status"] == "fail"
+    (entry,) = report["checks"]
+    assert (entry["name"], entry["passed"], entry["count"]) == ("fixer", False, 1)
+    witness = entry["counterexample"]
+    assert witness["failure"] == "weighted row product is 2 (mod 4)"
+    assert (witness["lattice"], witness["class_node"], witness["q"]) == \
+        ("simply-connected", None, 5)
+    assert len(witness["lambda"]) == 3
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_table_is_built_once_per_system(monkeypatch):
+    constants = _count_calls(monkeypatch, chevalley, "build_constants")
+    omegas = _count_calls(monkeypatch, affine, "omega_group")
+    cfg = load_config(None)
+    cfg["systems"] = [{"type": "D", "rank": 5}]
+    assert run_sweep(cfg)["status"] == "pass"
+    assert len(constants) == 1
+    assert len(omegas) == 1 + len(affine.all_lattices(root_system("D", 5)))
+    constants.clear()
+    cfg["checks"] = {"cocycle": True}
+    assert run_sweep(cfg)["status"] == "pass"
+    assert constants == []

@@ -57,14 +57,14 @@ def test_rejects_bad_cartan_input():
     with pytest.raises(CartanError):
         cartan_datum("H", 3)
     # reducible and non-positive-definite matrices are rejected by validate
-    from weylrep.rootsys import CartanDatum, build_root_system
+    from weylrep.rootsys import CartanDatum, RootSystem
 
     reducible = CartanDatum("A", 2, ((2, 0), (0, 2)))
     with pytest.raises(CartanError):
-        build_root_system(reducible)
+        RootSystem(reducible)
     affine_a1 = CartanDatum("A", 2, ((2, -2), (-2, 2)))
     with pytest.raises(CartanError):
-        build_root_system(affine_a1)
+        RootSystem(affine_a1)
 
 
 def test_root_string_a2(get_rs):
