@@ -2,24 +2,26 @@
 
 A cocharacter lattice sits between the coroot lattice and the coweight
 lattice; its finite quotient by the coroot lattice indexes the stabilizer
-of the fundamental alcove, realized here through affine-diagram
-automorphisms whose linear parts are verified to lie in W.
+of the fundamental alcove.  The finite projection of the class of a
+minuscule node j is the closed form sigma_j = w_0^{S - {j}} w_0
+(Bourbaki, Lie Groups and Lie Algebras, VI.2.3), verified to permute the
+affine nodes with the right marks and orbit size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import intmat
 from .rootsys import RootSystem
 from .weyl import (
     WeylElement,
-    element_from_simple_images,
     flip_functional,
     identity as weyl_identity,
     inversion_set,
+    longest_element,
 )
 
 __all__ = [
@@ -114,13 +116,14 @@ def _span_with(rs: RootSystem, name: str, extra_rows) -> CocharLattice:
     """Lattice generated by Q^vee together with the given rational rows."""
     rows = [[Fraction(int(i == j)) for j in range(rs.rank)] for i in range(rs.rank)]
     rows += [[Fraction(x) for x in r] for r in extra_rows]
-    denom = 1
-    for r in rows:
-        for x in r:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    return _make_lattice(rs, name, _hermite_rows(rows))
+
+
+def _hermite_rows(rows) -> list[list[Fraction]]:
+    """Hermite row basis of the lattice spanned by rational rows."""
+    denom = lcm(*(x.denominator for r in rows for x in r))
     scaled = [[int(x * denom) for x in r] for r in rows]
-    basis = intmat.hermite_row_basis(scaled)
-    return _make_lattice(rs, name, [[Fraction(x, denom) for x in r] for r in basis])
+    return [[Fraction(x, denom) for x in r] for r in intmat.hermite_row_basis(scaled)]
 
 
 def vector_lattice(rs: RootSystem) -> CocharLattice:
@@ -177,19 +180,8 @@ def all_lattices(rs: RootSystem) -> tuple[CocharLattice, ...]:
     # E8, F4, G2: coweight lattice equals coroot lattice already
     seen = {}
     for lat in out:
-        key = tuple(tuple(x for x in row) for row in
-                    _canonical_rows(lat))
-        seen.setdefault(key, lat)
+        seen.setdefault(tuple(map(tuple, _hermite_rows(lat.basis))), lat)
     return tuple(seen.values())
-
-
-def _canonical_rows(lat: CocharLattice):
-    denom = 1
-    for row in lat.basis:
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    scaled = [[int(x * denom) for x in row] for row in lat.basis]
-    return [[Fraction(x, denom) for x in row] for row in intmat.hermite_row_basis(scaled)]
 
 
 def lattice_contains(lat: CocharLattice, vec) -> bool:
@@ -236,37 +228,6 @@ def _affine_gradients(rs: RootSystem) -> tuple[int, ...]:
     return (rs.neg[rs.highest_root],) + rs.simple_index
 
 
-def _affine_cartan(rs: RootSystem):
-    grads = _affine_gradients(rs)
-    return [[rs.pairing[grads[j]][grads[i]] for j in range(rs.rank + 1)]
-            for i in range(rs.rank + 1)], grads
-
-
-def _diagram_automorphisms(rs: RootSystem, image_of_zero: int):
-    """Permutations of affine nodes preserving the affine Cartan matrix."""
-    ac, _ = _affine_cartan(rs)
-    n = rs.rank + 1
-    out = []
-
-    def backtrack(assign):
-        k = len(assign)
-        if k == n:
-            out.append(tuple(assign))
-            return
-        for cand in range(n):
-            if cand in assign:
-                continue
-            ok = all(ac[cand][assign[j]] == ac[k][j] and
-                     ac[assign[j]][cand] == ac[j][k] for j in range(k))
-            if ok and ac[cand][cand] == ac[k][k]:
-                assign.append(cand)
-                backtrack(assign)
-                assign.pop()
-
-    backtrack([image_of_zero])
-    return out
-
-
 def diagram_permutation(rs: RootSystem, w: WeylElement) -> tuple[int, ...] | None:
     """Permutation of affine nodes induced by w, or None if w moves them out."""
     grads = _affine_gradients(rs)
@@ -280,21 +241,12 @@ def diagram_permutation(rs: RootSystem, w: WeylElement) -> tuple[int, ...] | Non
     return tuple(perm)
 
 
-def _sigma_for_node(rs: RootSystem, node: int) -> tuple[WeylElement, tuple[int, ...]]:
-    """The unique Weyl element acting as an affine-diagram automorphism
-    with node 0 mapped to the given minuscule node."""
-    grads = _affine_gradients(rs)
-    matches = []
-    for perm in _diagram_automorphisms(rs, node):
-        images = [grads[perm[j]] for j in range(1, rs.rank + 1)]
-        w = element_from_simple_images(rs, images)
-        if w is not None:
-            matches.append((w, perm))
-    if len(matches) != 1:
-        raise AssertionError(
-            f"expected exactly one Weyl-realizable diagram automorphism "
-            f"sending node 0 to {node}; found {len(matches)}")
-    return matches[0]
+def _sigma_for_node(rs: RootSystem, node: int, w0: WeylElement):
+    """sigma_j = w_0^{S - {j}} w_0 for a minuscule node j, with the
+    affine-node permutation it induces (None if it induces none)."""
+    rest = [i for i in range(1, rs.rank + 1) if i != node]
+    sigma = longest_element(rs, rest) * w0
+    return sigma, diagram_permutation(rs, sigma)
 
 
 def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
@@ -304,7 +256,9 @@ def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
     coweights lying in the lattice; each projection is post-verified to
     permute the affine simple gradients with the right marks and orbit
     size, and the pairing conditions that make the affine transformation
-    an alcove stabilizer are checked exactly.
+    an alcove stabilizer are checked exactly.  Since W's image of the
+    stabilizer acts simply transitively on the special nodes, these
+    checks and the class count pin every projection uniquely.
     """
     zero = tuple(Fraction(0) for _ in range(rs.rank))
     ident = OmegaElement(None, zero, weyl_identity(rs),
@@ -312,11 +266,12 @@ def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
     out = [ident]
     cw = fundamental_coweights(rs)
     mk = marks(rs)
+    w0 = longest_element(rs)
     for node in minuscule_nodes(rs):
         rep = cw[node - 1]
         if not lattice_contains(lat, rep):
             continue
-        sigma, perm = _sigma_for_node(rs, node)
+        sigma, perm = _sigma_for_node(rs, node, w0)
         _verify_omega(rs, node, rep, sigma, perm, mk)
         out.append(OmegaElement(node, tuple(rep), sigma, perm))
     if len(out) != lat.index_in_coroot:
@@ -327,8 +282,7 @@ def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
 
 
 def _verify_omega(rs, node, rep, sigma, perm, mk) -> None:
-    check = diagram_permutation(rs, sigma)
-    if check != perm:
+    if perm is None:
         raise AssertionError("projection does not permute the affine gradients")
     affine_marks = (1,) + tuple(mk)
     for j in range(rs.rank + 1):

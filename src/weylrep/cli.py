@@ -195,11 +195,12 @@ def _select_lattices(ctx, cfg):
     wanted = cfg["lattices"]
     if wanted == "all":
         return lats
-    chosen = [lat for lat in lats if lat.name in wanted]
-    if not chosen:
-        raise ConfigError(f"no lattice of {ctx.name} matches {wanted}; "
-                          f"available: {[lat.name for lat in lats]}")
-    return chosen
+    names = [lat.name for lat in lats]
+    unknown = [x for x in wanted if x not in names]
+    if unknown or not wanted:
+        raise ConfigError(f"no lattice of {ctx.name} matches {unknown or wanted}; "
+                          f"available: {names}")
+    return [lat for lat in lats if lat.name in wanted]
 
 
 def _sweep_fixer(report, ctx, cfg, rng):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import intmat
-from .affine import CocharLattice, OmegaElement, adjoint_lattice, omega_group
+from .affine import CocharLattice, OmegaElement, adjoint_lattice
 from .chevalley import ScalarTable, c_word, evaluate_character, highest_root_relation
 from .rootsys import RootSystem
 
@@ -215,13 +215,14 @@ def obstruction(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
     """Solve over the adjoint lattice, then evaluate the boundary character.
 
     The adjoint system always has a witness (unique mod N, since the
-    fundamental-coweight pairing matrix is the identity).
+    fundamental-coweight pairing matrix is the identity).  ``omega`` is
+    used as is: its data do not depend on the lattice it was listed for,
+    and the adjoint lattice contains every class.
     """
     adj = adjoint_lattice(rs)
     chi = connecting_character(rs, lat, adj)
     n = units.order
-    adj_omega = _match_class(rs, adj, omega)
-    witness = solve(build_system(rs, adj, adj_omega, lam, scalars, units))
+    witness = solve(build_system(rs, adj, omega, lam, scalars, units))
     if witness is None:
         raise AssertionError("adjoint system unexpectedly unsolvable")
     val = 0
@@ -232,10 +233,3 @@ def obstruction(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
     return ObstructionClass(val % modulus if modulus > 1 else 0,
                             max(modulus, 1), chi.d)
 
-
-def _match_class(rs: RootSystem, lat: CocharLattice,
-                 omega: OmegaElement) -> OmegaElement:
-    for cand in omega_group(rs, lat):
-        if cand.class_node == omega.class_node:
-            return cand
-    raise ValueError("class has no counterpart in the target lattice")

@@ -36,7 +36,6 @@ __all__ = [
     "GroupTooLarge",
     "enumerate_group",
     "random_element",
-    "element_from_simple_images",
 ]
 
 
@@ -261,12 +260,16 @@ def check_flip_symmetry(w: WeylElement) -> bool:
     return lhs == flip_set(wi, wi)
 
 
-def longest_element(rs: RootSystem) -> WeylElement:
-    """w0: right-multiply by s_i while some x(alpha_i) is still positive."""
+def longest_element(rs: RootSystem, nodes=None) -> WeylElement:
+    """Longest element of the parabolic subgroup on ``nodes`` (1-based;
+    all simple nodes by default): right-multiply by s_i, i in ``nodes``,
+    while some x(alpha_i) is still positive."""
     npos = rs.npos
+    if nodes is None:
+        nodes = range(1, rs.rank + 1)
     x = identity(rs)
     while True:
-        i = next((i for i in range(1, rs.rank + 1)
+        i = next((i for i in nodes
                   if x.perm[rs.simple_index[i - 1]] >= npos), None)
         if i is None:
             return x
@@ -333,36 +336,3 @@ def random_element(rs: RootSystem, rng) -> WeylElement:
     k = 2 * rs.npos + rng.randrange(2)
     word = [rng.randrange(1, rs.rank + 1) for _ in range(k)]
     return from_word(rs, word)
-
-
-def element_from_simple_images(rs: RootSystem, images) -> WeylElement | None:
-    """The Weyl element sending alpha_j to root ``images[j]``, if one exists.
-
-    ``images`` lists root indices for j = 1..rank.  The linear extension
-    must permute the roots; membership in W is decided by walking the
-    candidate back to the identity through simple reflections (a proper
-    diagram automorphism has no descent and is rejected).
-    """
-    cols = [rs.roots[k] for k in images]
-    perm = []
-    for r in rs.roots:
-        img = tuple(sum(r[j] * cols[j][i] for j in range(rs.rank))
-                    for i in range(rs.rank))
-        k = rs.index.get(img)
-        if k is None:
-            return None
-        perm.append(k)
-    if len(set(perm)) != rs.nroots:
-        return None
-    cand = WeylElement(rs, tuple(perm))
-    x = cand
-    npos = rs.npos
-    while True:
-        i = next((i for i in range(1, rs.rank + 1)
-                  if x.perm[rs.simple_index[i - 1]] < npos), None)
-        if i is None:
-            break
-        x = x * simple_reflection(rs, i)
-    if not x.is_identity():
-        return None
-    return cand

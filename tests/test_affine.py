@@ -315,3 +315,25 @@ def test_fractional_pairing_is_rejected(get_rs):
     """A1 with basis alpha^vee / 4 contains Q^vee but not in P^vee."""
     with pytest.raises(ValueError, match="coweight lattice"):
         affine._make_lattice(get_rs("A", 1), "quarter", [[Fraction(1, 4)]])
+
+
+ORACLE_TYPES = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)]
+                + [("C", n) for n in range(2, 6)] + [("D", n) for n in (4, 5, 6)])
+
+
+@pytest.mark.parametrize("label,rank", ORACLE_TYPES)
+def test_sigma_matches_brute_force_oracle(label, rank, get_rs):
+    """Walk all of W: for each minuscule node j exactly one element
+    permutes the affine simple gradients with node 0 sent to j, and it is
+    the projection that omega_group lists for class j."""
+    rs = get_rs(label, rank)
+    found = {}
+    for w in weyl.enumerate_group(rs):
+        perm = diagram_permutation(rs, w)
+        if perm is not None:
+            found.setdefault(perm[0], []).append(w)
+    assert sorted(found) == [0, *minuscule_nodes(rs)]
+    assert found[0] == [weyl.identity(rs)]
+    group = omega_group(rs, adjoint_lattice(rs))
+    for om in group[1:]:
+        assert found[om.class_node] == [om.sigma]

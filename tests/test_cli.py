@@ -267,6 +267,19 @@ def test_bad_config_types_are_config_errors(tmp_path, capsys, user):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("lattices", [["SO", "S0"], ["S0"], []])
+def test_unknown_lattice_name_is_config_error(tmp_path, capsys, lattices):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"systems": [{"type": "D", "rank": 5}],
+                                "lattices": lattices,
+                                "checks": {"fixer": True}}))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "available" in err
+    if lattices:
+        assert "'S0'" in err and "'SO'" not in err.split("available")[0]
+
+
 def test_refuted_trivial_character_is_a_failure(monkeypatch, tmp_path):
     def refuted(*args):
         raise fixer.InconsistentSystemError("weighted row product is 2 (mod 4)")

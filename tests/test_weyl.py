@@ -7,7 +7,6 @@ from weylrep.weyl import (
     GroupTooLarge,
     check_first_difference,
     check_flip_symmetry,
-    element_from_simple_images,
     enumerate_group,
     flip_functional,
     flip_set,
@@ -264,11 +263,11 @@ def test_enumerate_budget(get_rs):
         enumerate_group(get_rs("E", 6), limit=1000)
 
 
-def test_element_from_simple_images(get_rs):
-    rs = get_rs("A", 2)
-    # images of a true element round-trip; a diagram automorphism is rejected
-    w = from_word(rs, (1, 2))
-    images = [w.perm[rs.simple_index[j]] for j in range(rs.rank)]
-    assert element_from_simple_images(rs, images) == w
-    swap = [rs.simple_index[1], rs.simple_index[0]]
-    assert element_from_simple_images(rs, swap) is None
+
+def test_parabolic_longest_element(get_rs):
+    rs = get_rs("A", 3)
+    assert longest_element(rs, ()) == identity(rs)
+    assert longest_element(rs, (1, 2)) == from_word(rs, (1, 2, 1))
+    assert longest_element(rs, (1, 3)) == from_word(rs, (1, 3))
+    assert longest_element(rs, (1, 2, 3)) == longest_element(rs)
+    assert longest_element(rs).length == rs.npos
