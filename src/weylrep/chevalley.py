@@ -44,9 +44,6 @@ class StructureConstantTable:
     convention_id: str
     n: dict  # (int, int) -> int
 
-    def bracket_constant(self, a: int, b: int) -> int:
-        return self.n.get((a, b), 0)
-
 
 def _special_pairs(rs: RootSystem, g: int):
     """Ordered positive pairs (a, b), a < b in the root order, summing to g."""
@@ -213,8 +210,6 @@ def validate_jacobi(table: StructureConstantTable):
     for x in range(nroots):
         for y in range(x + 1, nroots):
             base_r, base_h = bracket({x: 1}, [0] * rank, y)
-            if not base_r and not any(base_h):
-                first = None
             for z in range(nroots):
                 t1r, t1h = bracket(base_r, base_h, z)
                 m1r, m1h = bracket({y: 1}, [0] * rank, z)
@@ -244,10 +239,25 @@ def table_to_json(table: StructureConstantTable) -> dict:
     }
 
 
-def table_from_json(rs: RootSystem, doc: dict) -> StructureConstantTable:
-    if doc.get("type") != rs.datum.type_label or doc.get("rank") != rs.rank:
+def table_from_json(rs: RootSystem, doc) -> StructureConstantTable:
+    """Read a ``table_to_json`` document; its shape is checked here, and
+    whether its values satisfy Jacobi is left to ``validate_jacobi``."""
+    if not isinstance(doc, dict) or doc.get("type") != rs.datum.type_label \
+            or type(doc.get("rank")) is not int or doc.get("rank") != rs.rank:
         raise ValueError("fixture does not match the root system")
-    n = {(a, b): v for a, b, v in doc["constants"]}
+    rows = doc.get("constants")
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == 3 and row[2] != 0
+            and all(type(x) is int for x in row) for row in rows):
+        raise ValueError("fixture constants must be [a, b, N] int triples "
+                         "with N nonzero")
+    n = {(a, b): v for a, b, v in rows}
+    roots, index = rs.roots, rs.index
+    pairs = {(a, b) for a in range(rs.nroots) for b in range(rs.nroots)
+             if tuple(x + y for x, y in zip(roots[a], roots[b])) in index}
+    if len(n) != len(rows) or n.keys() != pairs:
+        raise ValueError("fixture constants must list each ordered pair of "
+                         "roots with a root sum exactly once")
     return StructureConstantTable(rs, doc.get("convention_id", "fixture"), n)
 
 

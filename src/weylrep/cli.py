@@ -164,7 +164,7 @@ def _sweep_fibers(report, ctx, cfg, rng):
 
 def _sweep_characters(report, ctx, cfg, rng):
     rs, name = ctx.rs, ctx.name
-    if cfg.get("constants_fixture"):
+    if cfg["constants_fixture"] is not None:
         try:
             with open(cfg["constants_fixture"], "r", encoding="utf-8") as fh:
                 table = chevalley.table_from_json(rs, json.load(fh))
@@ -304,6 +304,10 @@ def _validate(cfg: dict) -> None:
     qs = cfg["qs"]
     if not isinstance(qs, list) or not all(map(_is_prime_power, qs)):
         raise ConfigError(f"qs must be a list of prime powers >= 2, got {qs!r}")
+    fixture = cfg["constants_fixture"]
+    if fixture is not None and not (isinstance(fixture, str) and fixture):
+        raise ConfigError(f"constants_fixture must be null or a non-empty path, "
+                          f"got {fixture!r}")
 
 
 def _is_prime_power(q) -> bool:
@@ -368,8 +372,9 @@ def cocycle_table_doc(rs, budget: int) -> dict:
     for u in group:
         for v in group:
             bits = tits.cocycle(u, v)
-            if any(bits):
-                entries.append([list(u.word), list(v.word), list(bits)])
+            if bits:
+                entries.append([list(u.word), list(v.word),
+                                [bits >> i & 1 for i in range(rs.rank)]])
     return {
         "system": f"{rs.datum.type_label}{rs.rank}",
         "group_order": order,

@@ -66,25 +66,20 @@ def smith_normal_form(m):
                         best = (i, j)
             if best is None:
                 break
-            if best != (t, t):
-                if best[0] != t:
-                    swap_rows(t, best[0])
-                if best[1] != t:
-                    swap_cols(t, best[1])
+            if best[0] != t:
+                swap_rows(t, best[0])
+            if best[1] != t:
+                swap_cols(t, best[1])
             if a[t][t] < 0:
                 negate_row(t)
             dirty = False
             for i in range(t + 1, rows):
-                if a[i][t] % a[t][t] != 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    dirty = True
-                elif a[i][t] != 0:
+                if a[i][t]:
+                    dirty = dirty or a[i][t] % a[t][t] != 0
                     add_row(i, t, -(a[i][t] // a[t][t]))
             for j in range(t + 1, cols):
-                if a[t][j] % a[t][t] != 0:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    dirty = True
-                elif a[t][j] != 0:
+                if a[t][j]:
+                    dirty = dirty or a[t][j] % a[t][t] != 0
                     add_col(j, t, -(a[t][j] // a[t][t]))
             if dirty:
                 continue

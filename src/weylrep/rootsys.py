@@ -22,8 +22,6 @@ __all__ = [
     "RootSystem",
     "root_system",
     "root_string",
-    "is_simply_laced",
-    "simply_laced_conditions",
     "rootsys_to_json",
 ]
 
@@ -341,38 +339,6 @@ def root_string(rs: RootSystem, a: int, b: int) -> tuple[int, int]:
         else:
             break
     return p, q
-
-
-def simply_laced_conditions(rs: RootSystem) -> dict[str, bool]:
-    """The four standard equivalent characterizations, each computed directly."""
-    m = rs.datum.cartan_matrix
-    n = rs.rank
-    no_multiple_bonds = all(m[i][j] * m[j][i] <= 1
-                            for i in range(n) for j in range(n) if i != j)
-    small_pairings = all(
-        rs.pairing[a][b] in (-1, 0, 1)
-        for a in range(rs.nroots) for b in range(rs.nroots)
-        if b != a and b != rs.neg[a])
-    symmetric = all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
-    equal_norms = len(set(rs.norms2)) == 1
-    return {
-        "no_multiple_bonds": no_multiple_bonds,
-        "small_pairings": small_pairings,
-        "symmetric_cartan": symmetric,
-        "equal_norms": equal_norms,
-    }
-
-
-def is_simply_laced(rs: RootSystem) -> bool:
-    """True iff all pairings of non-proportional roots lie in {-1,0,1}.
-
-    Cross-checked against symmetry of the Cartan matrix; disagreement
-    would mean corrupted tables.
-    """
-    conds = simply_laced_conditions(rs)
-    if conds["small_pairings"] != conds["symmetric_cartan"]:
-        raise CartanError("simply-laced criteria disagree; tables corrupted")
-    return conds["small_pairings"]
 
 
 def rootsys_to_json(rs: RootSystem) -> dict:

@@ -1,7 +1,9 @@
 """The extension of W by the mod-2 coroot lattice.
 
-Elements are normal forms (t, w): a torus part t in Q^vee (x) F_2 written
-in simple-coroot bits, times the canonical representative of w.  The
+Elements are normal forms (t, w): a torus part t in Q^vee (x) F_2 times
+the canonical representative of w.  The torus part is an int mask whose
+bit i is the coefficient of alpha_i^vee mod 2, the convention of
+``RootSystem.coroot_masks``, so each mod-2 coroot sum is an XOR.  The
 group law is driven entirely by the two defining properties of the
 canonical representatives — generator squares are simple-coroot bits,
 and products along reduced words are honest products — plus the exchange
@@ -18,9 +20,7 @@ the product is x.weyl * y.weyl.  This is still the honest group law:
 each step applies the defining relation of one generator, and only the
 bookkeeping of the partial product is replaced.  As a set the walk roots
 are the inversion set of y^-1, but they come from the walk that
-extracts the word, never from ``inversion_set`` or ``flip_set``.  While
-a product is formed its torus part is an int mask, so each mod-2 coroot
-sum is an XOR of ``RootSystem.coroot_masks``.
+extracts the word, never from ``inversion_set`` or ``flip_set``.
 """
 
 from __future__ import annotations
@@ -49,45 +49,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TitsElement:
-    bits: tuple[int, ...]
+    bits: int
     weyl: WeylElement
 
 
-def _zero(rs: RootSystem) -> tuple[int, ...]:
-    return (0,) * rs.rank
-
-
-def _pack(bits: tuple[int, ...]) -> int:
-    return sum(t << i for i, t in enumerate(bits))
-
-
-def _unpack(rs: RootSystem, mask: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(rs.rank))
-
-
-def _act_mask(w: WeylElement, bits: tuple[int, ...]) -> int:
-    """Mask of w applied to bits: the coroots of w(alpha_i) for each set bit."""
+def act_bits(w: WeylElement, mask: int) -> int:
+    """W-action on Q^vee (x) F_2: the coroot of w(alpha_i) for each set bit i."""
     masks = w.rs.coroot_masks
-    simples = w.rs.simple_index
     p = w.perm
     out = 0
-    for i, t in enumerate(bits):
-        if t:
-            out ^= masks[p[simples[i]]]
+    for i, s in enumerate(w.rs.simple_index):
+        if mask >> i & 1:
+            out ^= masks[p[s]]
     return out
 
 
-def act_bits(w: WeylElement, bits: tuple[int, ...]) -> tuple[int, ...]:
-    """W-action on Q^vee (x) F_2: push each set bit through w."""
-    return _unpack(w.rs, _act_mask(w, bits))
-
-
 def identity(rs: RootSystem) -> TitsElement:
-    return TitsElement(_zero(rs), weyl_identity(rs))
+    return TitsElement(0, weyl_identity(rs))
 
 
 def generator(rs: RootSystem, i: int) -> TitsElement:
-    return TitsElement(_zero(rs), simple_reflection(rs, i))
+    return TitsElement(0, simple_reflection(rs, i))
 
 
 def multiply(x: TitsElement, y: TitsElement) -> TitsElement:
@@ -102,13 +84,13 @@ def multiply(x: TitsElement, y: TitsElement) -> TitsElement:
     rs = x.weyl.rs
     npos = rs.npos
     masks = rs.coroot_masks
-    mask = _pack(x.bits) ^ _act_mask(x.weyl, y.bits)
+    mask = x.bits ^ act_bits(x.weyl, y.bits)
     for img in map(x.weyl.perm.__getitem__, y.weyl.walk):
         if img < npos:
             # exchange step: the generator square appears and is pushed
             # left, where it becomes the coroot of -img; signs vanish mod 2
             mask ^= masks[img]
-    return TitsElement(_unpack(rs, mask), x.weyl * y.weyl)
+    return TitsElement(mask, x.weyl * y.weyl)
 
 
 def invert(x: TitsElement) -> TitsElement:
@@ -116,9 +98,8 @@ def invert(x: TitsElement) -> TitsElement:
     rs = x.weyl.rs
     out = identity(rs)
     for i in reversed(x.weyl.word):
-        square = _unpack(rs, rs.coroot_masks[rs.simple_index[i - 1]])
-        gi_inv = TitsElement(square, simple_reflection(rs, i))
-        out = multiply(out, gi_inv)
+        square = rs.coroot_masks[rs.simple_index[i - 1]]
+        out = multiply(out, TitsElement(square, simple_reflection(rs, i)))
     return multiply(out, TitsElement(x.bits, weyl_identity(rs)))
 
 
@@ -129,7 +110,7 @@ def canonical(w: WeylElement) -> TitsElement:
     the torus part is zero; ``canonical_from_word`` recomputes this the
     slow way for arbitrary words.
     """
-    return TitsElement(_zero(w.rs), w)
+    return TitsElement(0, w)
 
 
 def canonical_from_word(rs: RootSystem, word) -> TitsElement:
@@ -139,7 +120,7 @@ def canonical_from_word(rs: RootSystem, word) -> TitsElement:
     return out
 
 
-def cocycle(u: WeylElement, v: WeylElement) -> tuple[int, ...]:
+def cocycle(u: WeylElement, v: WeylElement) -> int:
     """Torus part of canonical(uv)^-1 * canonical(u) * canonical(v).
 
     canonical(u) * canonical(v) = t * canonical(uv), so the defect is t
@@ -149,22 +130,22 @@ def cocycle(u: WeylElement, v: WeylElement) -> tuple[int, ...]:
     return act_bits(prod.weyl.inverse(), prod.bits)
 
 
-def flip_prediction(u: WeylElement, v: WeylElement) -> tuple[int, ...]:
+def flip_prediction(u: WeylElement, v: WeylElement) -> int:
     """Sum of coroot bits over flip_set(u, v)."""
     masks = u.rs.coroot_masks
     mask = 0
     for b in flip_set(u, v):
         mask ^= masks[b]
-    return _unpack(u.rs, mask)
+    return mask
 
 
 def check_cocycle_formula(u: WeylElement, v: WeylElement) -> bool:
     return cocycle(u, v) == flip_prediction(u, v)
 
 
-def pairing_mod2(rs: RootSystem, a: int, bits: tuple[int, ...]) -> int:
-    """<root_a, sum of bit coroots> mod 2."""
-    return sum(bits[i] * rs._psc[a][i] for i in range(rs.rank)) & 1
+def pairing_mod2(rs: RootSystem, a: int, mask: int) -> int:
+    """<root_a, sum of the coroots whose bits are set> mod 2."""
+    return sum(c for i, c in enumerate(rs._psc[a]) if mask >> i & 1) & 1
 
 
 def check_two_cocycle_identity(u: WeylElement, v: WeylElement,
@@ -175,9 +156,7 @@ def check_two_cocycle_identity(u: WeylElement, v: WeylElement,
     identity f(u,v) + f(uv,x) = u.f(v,x) + f(u,vx) holds for the
     left-normalized transport f(u,v) = (uv)(z(u,v)).
     """
-    def f(a: WeylElement, b: WeylElement) -> tuple[int, ...]:
+    def f(a: WeylElement, b: WeylElement) -> int:
         return act_bits(a * b, cocycle(a, b))
 
-    lhs = _pack(f(u, v)) ^ _pack(f(u * v, x))
-    rhs = _pack(act_bits(u, f(v, x))) ^ _pack(f(u, v * x))
-    return lhs == rhs
+    return (f(u, v) ^ f(u * v, x)) == (act_bits(u, f(v, x)) ^ f(u, v * x))

@@ -33,7 +33,6 @@ __all__ = [
     "check_flip_symmetry",
     "longest_element",
     "group_order",
-    "GroupTooLarge",
     "enumerate_group",
     "random_element",
 ]
@@ -69,9 +68,6 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         p = self.perm
         return WeylElement(self.rs, tuple(map(p.__getitem__, other.perm)))
-
-    def apply(self, k: int) -> int:
-        return self.perm[k]
 
     def apply_simple(self, i: int) -> int:
         """Image root index of alpha_i (1-based)."""
@@ -157,14 +153,6 @@ class WeylElement:
             rows = [co[b] for b in inversion_set(self)]
             self._coroot_sum = tuple(map(sum, zip((0,) * self.rs.rank, *rows)))
         return self._coroot_sum
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Action on simple-root coordinates; column j is w(alpha_j)."""
-        rs = self.rs
-        cols = [rs.roots[self.perm[rs.simple_index[j]]] for j in range(rs.rank)]
-        return tuple(tuple(cols[j][i] for j in range(rs.rank))
-                     for i in range(rs.rank))
 
     def order(self) -> int:
         n = 1
@@ -301,14 +289,8 @@ def group_order(rs: RootSystem) -> int:
     return _ORDERS[lbl][n]
 
 
-class GroupTooLarge(ValueError):
-    """Exhaustive enumeration would exceed the configured budget."""
-
-
-def enumerate_group(rs: RootSystem, limit: int | None = None) -> list[WeylElement]:
+def enumerate_group(rs: RootSystem) -> list[WeylElement]:
     """All elements, breadth-first by length; deterministic order."""
-    if limit is not None and group_order(rs) > limit:
-        raise GroupTooLarge(f"|W| = {group_order(rs)} exceeds limit {limit}")
     ident = identity(rs)
     seen = {ident.perm}
     out = [ident]

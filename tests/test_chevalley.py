@@ -74,6 +74,18 @@ def test_table_json_round_trip(get_rs, get_scalars):
     assert back.n == table.n
     with pytest.raises(ValueError):
         table_from_json(get_rs("A", 3), doc)
+    a1 = get_rs("A", 1)
+    with pytest.raises(ValueError):
+        table_from_json(a1, dict(table_to_json(build_constants(a1)), rank=True))
+
+
+@pytest.mark.parametrize("value", [0, True, 1.0])
+def test_table_from_json_rejects_non_int_or_zero_constants(get_rs, value):
+    rs = get_rs("A", 2)
+    doc = table_to_json(build_constants(rs))
+    doc["constants"][0][2] = value
+    with pytest.raises(ValueError, match="nonzero"):
+        table_from_json(rs, doc)
 
 
 @pytest.mark.parametrize("label,rank", EXHAUSTIVE_TYPES)

@@ -82,6 +82,41 @@ def test_cli_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
+def _characters_config(tmp_path, fixture):
+    """A2 config running only ``characters``, with the given fixture value."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "systems": [{"type": "A", "rank": 2}],
+        "checks": dict.fromkeys(cli.CHECKS, False) | {"characters": True},
+        "constants_fixture": fixture,
+    }))
+    return path
+
+
+@pytest.mark.parametrize("fixture", [2, True, ["x"], 0, "", False])
+def test_bad_constants_fixture_value_is_config_error(tmp_path, capsys, fixture):
+    path = _characters_config(tmp_path, fixture)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "constants_fixture" in captured.err
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"type": "A", "rank": 2},
+    {"type": "A", "rank": 2, "constants": 5},
+    {"type": "A", "rank": 2, "constants": []},
+    {"type": "A", "rank": 2, "constants": [[0, 99, 1]]},
+])
+def test_malformed_constants_fixture_is_config_error(tmp_path, capsys, doc):
+    fixture = tmp_path / "constants.json"
+    fixture.write_text(json.dumps(doc))
+    path = _characters_config(tmp_path, str(fixture))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad constants fixture")
+
+
 def test_corrupted_constants_fixture_fails_with_named_triple(tmp_path, capsys):
     rs = root_system("A", 2)
     doc = table_to_json(build_constants(rs))
@@ -172,9 +207,12 @@ def test_golden_default_report(tmp_path):
     ("golden_cocycle_b2_report.json", ["cocycle", "--type", "B", "--rank", "2"]),
     ("golden_fixer_a2_report.json", ["fixer", "--type", "A", "--rank", "2",
                                      "--q", "5", "--samples", "5"]),
+    ("golden_cocycle_b2_dump.json", ["cocycle", "--type", "B", "--rank", "2",
+                                     "--dump"]),
 ])
 def test_golden_reports(tmp_path, golden, argv):
-    """A D5+E6 all-checks sweep and the cocycle and fixer presets, byte for byte."""
+    """A D5+E6 all-checks sweep, the cocycle and fixer presets, and the B2
+    cocycle table dump, byte for byte."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"systems": [{"type": "D", "rank": 5},
                                               {"type": "E", "rank": 6}]}))

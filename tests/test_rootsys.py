@@ -6,11 +6,9 @@ import pytest
 from weylrep.rootsys import (
     CartanError,
     cartan_datum,
-    is_simply_laced,
     root_string,
     root_system,
     rootsys_to_json,
-    simply_laced_conditions,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -155,19 +153,34 @@ def test_heights(get_rs):
         assert acc == 2 * d5.heights[b]
 
 
+def _simply_laced_conditions(rs):
+    """Four equivalent characterizations, each read from a different table."""
+    m = rs.datum.cartan_matrix
+    n = rs.rank
+    return {
+        "no_multiple_bonds": all(m[i][j] * m[j][i] <= 1
+                                 for i in range(n) for j in range(n) if i != j),
+        "small_pairings": all(rs.pairing[a][b] in (-1, 0, 1)
+                              for a in range(rs.nroots) for b in range(rs.nroots)
+                              if b != a and b != rs.neg[a]),
+        "symmetric_cartan": all(m[i][j] == m[j][i]
+                                for i in range(n) for j in range(n)),
+        "equal_norms": len(set(rs.norms2)) == 1,
+    }
+
+
 @pytest.mark.parametrize("label,rank",
                          [(l, r) for (l, r) in sorted(KNOWN_COUNTS) if r <= 8])
 def test_simply_laced_conditions_agree(label, rank, get_rs):
     rs = get_rs(label, rank)
-    conds = simply_laced_conditions(rs)
+    conds = _simply_laced_conditions(rs)
     assert len(set(conds.values())) == 1, conds
-    assert is_simply_laced(rs) == conds["no_multiple_bonds"]
 
 
 def test_simply_laced_values(get_rs):
-    assert is_simply_laced(get_rs("D", 5))
-    assert is_simply_laced(get_rs("E", 6))
-    assert not is_simply_laced(get_rs("B", 2))
+    assert all(_simply_laced_conditions(get_rs("D", 5)).values())
+    assert all(_simply_laced_conditions(get_rs("E", 6)).values())
+    assert not any(_simply_laced_conditions(get_rs("B", 2)).values())
 
 
 def test_json_golden_files(get_rs):

@@ -4,7 +4,6 @@ import pytest
 
 from weylrep import weyl
 from weylrep.weyl import (
-    GroupTooLarge,
     check_first_difference,
     check_flip_symmetry,
     enumerate_group,
@@ -61,13 +60,14 @@ def test_walk_roots_are_inversion_set_of_inverse(get_rs):
 
 
 def test_matrix_reproduces_perm(get_rs):
+    """perm is the linear map with columns w(alpha_j), in simple-root coordinates."""
     rs = get_rs("C", 3)
     rng = random.Random(3)
     for _ in range(25):
         w = weyl.random_element(rs, rng)
-        m = w.matrix
+        cols = [rs.roots[w.apply_simple(j)] for j in range(1, rs.rank + 1)]
         for k in range(rs.nroots):
-            img = tuple(sum(m[i][j] * rs.roots[k][j] for j in range(rs.rank))
+            img = tuple(sum(c * col[i] for c, col in zip(rs.roots[k], cols))
                         for i in range(rs.rank))
             assert rs.index[img] == w.perm[k]
 
@@ -256,11 +256,6 @@ def test_group_order_formulas(get_rs):
     assert group_order(get_rs("F", 4)) == 1152
     assert group_order(get_rs("E", 6)) == 51840
     assert len(enumerate_group(get_rs("B", 3))) == 48
-
-
-def test_enumerate_budget(get_rs):
-    with pytest.raises(GroupTooLarge):
-        enumerate_group(get_rs("E", 6), limit=1000)
 
 
 
