@@ -35,14 +35,16 @@ class SystemContext:
     """One configured system and the derived tables its checks share.
 
     Each table is built the first time a check asks for it and then kept
-    for the system's other checks; building one draws nothing from the
-    sweep's RNG.
+    for the system's other checks; building one draws no random numbers.
+    ``run_sweep`` sets ``lattices``, the fixer's lattices, and ``fixture``,
+    the constants fixture's (Jacobi failure, scalars), before any check runs.
     """
 
     def __init__(self, sysdef: dict):
         self.name = _sysname(sysdef)
         self.rs = root_system(sysdef["type"], sysdef["rank"])
         self.order = weyl.group_order(self.rs)
+        self.lattices, self.fixture = (), None
 
     @cached_property
     def group(self) -> list:
@@ -60,19 +62,8 @@ class SystemContext:
         return chevalley.scalar_table(chevalley.build_constants(self.rs))
 
 
-def _check(report, name, system, mode, count, passed, counterexample=None):
-    report["checks"].append({
-        "name": name,
-        "system": system,
-        "mode": mode,
-        "count": count,
-        "passed": bool(passed),
-        "counterexample": counterexample,
-    })
-
-
-def _sweep_first_difference(report, ctx, cfg, rng):
-    rs, name = ctx.rs, ctx.name
+def _sweep_first_difference(ctx, cfg, rng):
+    rs = ctx.rs
     if ctx.order <= cfg["budget"]:
         elements, mode = ctx.group, "exhaustive"
     else:
@@ -83,18 +74,14 @@ def _sweep_first_difference(report, ctx, cfg, rng):
         for a in range(rs.nroots):
             count += 1
             if not weyl.check_first_difference(w, a):
-                _check(report, "first_difference", name, mode, count, False,
-                       {"word": list(w.word), "root": list(rs.roots[a])})
-                return
+                return mode, count, {"word": list(w.word), "root": list(rs.roots[a])}
         if not weyl.check_flip_symmetry(w):
-            _check(report, "first_difference", name, mode, count, False,
-                   {"word": list(w.word), "failure": "flip symmetry"})
-            return
-    _check(report, "first_difference", name, mode, count, True)
+            return mode, count, {"word": list(w.word), "failure": "flip symmetry"}
+    return mode, count, None
 
 
-def _sweep_cocycle(report, ctx, cfg, rng):
-    rs, name = ctx.rs, ctx.name
+def _sweep_cocycle(ctx, cfg, rng):
+    rs = ctx.rs
     if ctx.order * ctx.order <= cfg["pair_budget"]:
         mode = "exhaustive"
         group = ctx.group
@@ -110,84 +97,66 @@ def _sweep_cocycle(report, ctx, cfg, rng):
     for u, v in pairs:
         count += 1
         if not tits.check_cocycle_formula(u, v):
-            _check(report, "cocycle", name, mode, count, False,
-                   {"u_word": list(u.word), "v_word": list(v.word)})
-            return
+            return mode, count, {"u_word": list(u.word), "v_word": list(v.word)}
     if count != total:
         raise AssertionError("pair sweep drifted from its plan")
-    _check(report, "cocycle", name, mode, count, True)
+    return mode, count, None
 
 
 def _eligible_omegas(ctx, min_order):
     return [om for om in ctx.omegas if om.order() >= min_order]
 
 
-def _sweep_second_difference(report, ctx, cfg, rng):
-    rs, name = ctx.rs, ctx.name
+def _sweep_second_difference(ctx, cfg, rng):
+    rs = ctx.rs
     count = 0
     for om in _eligible_omegas(ctx, 2):
         if not affine.check_flip_sum_even(rs, om.sigma):
-            _check(report, "second_difference", name, "exhaustive", count, False,
-                   {"class_node": om.class_node, "failure": "parity"})
-            return
+            return "exhaustive", count, {"class_node": om.class_node,
+                                         "failure": "parity"}
         count += 1
         if om.order() >= 3:
             datum = affine.sigma_rs(rs, om.sigma)
             for a in range(rs.nroots):
                 count += 1
                 if not affine.check_second_difference(datum, a):
-                    _check(report, "second_difference", name, "exhaustive",
-                           count, False,
-                           {"class_node": om.class_node, "root": list(rs.roots[a])})
-                    return
-    _check(report, "second_difference", name, "exhaustive", count, True)
+                    return "exhaustive", count, {"class_node": om.class_node,
+                                                 "root": list(rs.roots[a])}
+    return "exhaustive", count, None
 
 
-def _sweep_fibers(report, ctx, cfg, rng):
-    rs, name = ctx.rs, ctx.name
+def _sweep_fibers(ctx, cfg, rng):
+    rs = ctx.rs
     count = 0
     for om in _eligible_omegas(ctx, 3):
         try:
             datum = affine.sigma_rs(rs, om.sigma)  # asserts constant fibers
         except AssertionError as exc:
-            _check(report, "fibers", name, "exhaustive", count, False,
-                   {"class_node": om.class_node, "failure": str(exc)})
-            return
+            return "exhaustive", count, {"class_node": om.class_node,
+                                         "failure": str(exc)}
         a, b, c = datum.fiber_sizes
         count += 1
         if a != c or a + b + c != rs.coxeter_number:
-            _check(report, "fibers", name, "exhaustive", count, False,
-                   {"class_node": om.class_node, "fiber_sizes": [a, b, c]})
-            return
-    _check(report, "fibers", name, "exhaustive", count, True)
+            return "exhaustive", count, {"class_node": om.class_node,
+                                         "fiber_sizes": [a, b, c]}
+    return "exhaustive", count, None
 
 
-def _sweep_characters(report, ctx, cfg, rng):
-    rs, name = ctx.rs, ctx.name
-    if cfg["constants_fixture"] is not None:
-        try:
-            with open(cfg["constants_fixture"], "r", encoding="utf-8") as fh:
-                table = chevalley.table_from_json(rs, json.load(fh))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise ConfigError(f"bad constants fixture: {exc}") from exc
-        bad = chevalley.validate_jacobi(table)
-        if bad is not None:
-            _check(report, "characters", name, "exhaustive", 1, False,
-                   {"failure": "jacobi",
-                    "triple": [rs.root_name(k) for k in bad]})
-            return
-        scalars = chevalley.scalar_table(table)
-    else:
+def _sweep_characters(ctx, cfg, rng):
+    if ctx.fixture is None:
         scalars = ctx.scalars
-    rel = chevalley.highest_root_relation(rs)
+    else:
+        bad, scalars = ctx.fixture
+        if bad is not None:
+            return "exhaustive", 1, {"failure": "jacobi",
+                                     "triple": [ctx.rs.root_name(k) for k in bad]}
+    rel = chevalley.highest_root_relation(ctx.rs)
     count = 0
     for om in _eligible_omegas(ctx, 1):
         count += 1
         if chevalley.evaluate_character(scalars, rel, om.sigma) != 1:
-            _check(report, "characters", name, "exhaustive", count, False,
-                   {"class_node": om.class_node})
-            return
-    _check(report, "characters", name, "exhaustive", count, True)
+            return "exhaustive", count, {"class_node": om.class_node}
+    return "exhaustive", count, None
 
 
 def _select_lattices(ctx, cfg):
@@ -203,11 +172,32 @@ def _select_lattices(ctx, cfg):
     return [lat for lat in lats if lat.name in wanted]
 
 
-def _sweep_fixer(report, ctx, cfg, rng):
-    rs, name = ctx.rs, ctx.name
+def _load_fixture(contexts, path):
+    """Read the constants fixture once and attach it to the systems it names."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        named = [ctx for ctx in contexts if isinstance(doc, dict)
+                 and doc.get("type") == ctx.rs.datum.type_label
+                 and doc.get("rank") == ctx.rs.rank]
+        if not named:
+            raise ValueError("fixture names no configured system")
+        table = chevalley.table_from_json(named[0].rs, doc)
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        raise ConfigError(f"bad constants fixture: {exc}") from exc
+    bad = chevalley.validate_jacobi(table)
+    fixture = (bad, None if bad is not None else chevalley.scalar_table(table))
+    for ctx in named:
+        ctx.fixture = fixture
+
+
+def _sweep_fixer(ctx, cfg, rng):
+    rs = ctx.rs
     count = 0
-    for lat in _select_lattices(ctx, cfg):
-        for om in affine.omega_group(rs, lat):
+    for lat in ctx.lattices:
+        # ctx.omegas is the group of P^vee, the one lattice of full index
+        for om in (ctx.omegas if lat.index_in_coroot == len(ctx.omegas)
+                   else affine.omega_group(rs, lat)):
             for q in cfg["qs"]:
                 units = fixer.UnitGroup(q - 1)
                 for _ in range(cfg["lambda_samples"]):
@@ -216,19 +206,16 @@ def _sweep_fixer(report, ctx, cfg, rng):
                     witness = {"lattice": lat.name, "class_node": om.class_node,
                                "q": q, "lambda": list(lam.values)}
                     try:
-                        system = fixer.build_system(rs, lat, om, lam,
-                                                    ctx.scalars, units)
+                        system = fixer.build_system(rs, lat, om, lam, ctx.scalars, units)
                     except fixer.InconsistentSystemError as exc:
-                        witness["failure"] = str(exc)
-                        system = None
-                    if system is None or fixer.solve(system) is None:
-                        _check(report, "fixer", name, "sampled", count, False,
-                               witness)
-                        return
-    _check(report, "fixer", name, "sampled", count, True)
+                        return "sampled", count, {**witness, "failure": str(exc)}
+                    if fixer.solve(system) is None:
+                        return "sampled", count, witness
+    return "sampled", count, None
 
 
-# The checks a sweep runs on each system, in report order.
+# The checks a sweep runs on each system, in report order.  Each returns
+# (mode, count, witness), and the witness is None on a pass.
 CHECKS = {
     "first_difference": _sweep_first_difference,
     "cocycle": _sweep_cocycle,
@@ -328,12 +315,22 @@ def run_sweep(cfg: dict) -> dict:
         "checks": [],
         "tables": {},
     }
-    rng = random.Random(cfg["seed"])
-    for sysdef in cfg["systems"]:
-        ctx = SystemContext(sysdef)
-        for name, sweep in CHECKS.items():
-            if cfg["checks"].get(name):
-                sweep(report, ctx, cfg, rng)
+    enabled = [name for name in CHECKS if cfg["checks"].get(name)]
+    # lattice names and the constants fixture are checked before any check runs
+    contexts = [SystemContext(sysdef) for sysdef in cfg["systems"]]
+    if "fixer" in enabled:
+        for ctx in contexts:
+            ctx.lattices = _select_lattices(ctx, cfg)
+    if "characters" in enabled and cfg["constants_fixture"] is not None:
+        _load_fixture(contexts, cfg["constants_fixture"])
+    while contexts:
+        ctx = contexts.pop(0)  # so a finished system's tables can be freed
+        for name in enabled:
+            rng = random.Random(f"{cfg['seed']}/{ctx.name}/{name}")
+            mode, count, witness = CHECKS[name](ctx, cfg, rng)
+            report["checks"].append({"name": name, "system": ctx.name, "mode": mode,
+                                     "count": count, "passed": witness is None,
+                                     "counterexample": witness})
     for tabdef in cfg["tables"]:
         rs = root_system(tabdef["type"], tabdef["rank"])
         doc = emit_table_doc(rs, tabdef.get("node"))

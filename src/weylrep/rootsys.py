@@ -189,7 +189,13 @@ class RootSystem:
         # inner products (alpha_i|alpha_j) = d_i * cartan[i][j]
         self._gram = [[d[i] * cartan[i][j] for j in range(self.rank)]
                       for i in range(self.rank)]
-        self.norms2 = tuple(self._form(r, r) for r in self.roots)
+        # pairing with simple coroots: psc[k][i] = <root_k, alpha_i^vee>
+        self._psc = psc = tuple(
+            tuple(sum(r[j] * cartan[i][j] for j in range(self.rank))
+                  for i in range(self.rank)) for r in self.roots)
+        # (r|r) = sum_i r_i * d_i * <r, alpha_i^vee>
+        self.norms2 = tuple(sum(r[i] * d[i] * p[i] for i in range(self.rank))
+                            for r, p in zip(self.roots, psc))
 
         # coroot coordinates: b^vee = sum_j b_j * (d_j / d_b) alpha_j^vee
         coroots = []
@@ -206,13 +212,6 @@ class RootSystem:
         # coroot of root k mod 2 as an int: bit i is its alpha_i^vee coefficient mod 2
         self.coroot_masks = tuple(sum((c & 1) << i for i, c in enumerate(co))
                                   for co in coroots)
-
-        # pairing with simple coroots: psc[k][i] = <root_k, alpha_i^vee>
-        psc = []
-        for r in self.roots:
-            psc.append(tuple(sum(r[j] * cartan[i][j] for j in range(self.rank))
-                             for i in range(self.rank)))
-        self._psc = tuple(psc)
 
         # full pairing table <root_a, root_b^vee>
         self.pairing = tuple(

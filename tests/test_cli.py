@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from weylrep import affine, chevalley, cli, fixer
+from weylrep import affine, chevalley, cli, fixer, tits, weyl
 from weylrep.chevalley import build_constants, table_to_json
 from weylrep.cli import (
     ConfigError,
@@ -82,11 +82,11 @@ def test_cli_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
-def _characters_config(tmp_path, fixture):
-    """A2 config running only ``characters``, with the given fixture value."""
+def _characters_config(tmp_path, fixture, systems=("A2",)):
+    """A config running only ``characters``, with the given fixture value."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        "systems": [{"type": "A", "rank": 2}],
+        "systems": [{"type": s[0], "rank": int(s[1:])} for s in systems],
         "checks": dict.fromkeys(cli.CHECKS, False) | {"characters": True},
         "constants_fixture": fixture,
     }))
@@ -357,8 +357,140 @@ def test_each_table_is_built_once_per_system(monkeypatch):
     cfg["systems"] = [{"type": "D", "rank": 5}]
     assert run_sweep(cfg)["status"] == "pass"
     assert len(constants) == 1
-    assert len(omegas) == 1 + len(affine.all_lattices(root_system("D", 5)))
+    assert len(omegas) == len(affine.all_lattices(root_system("D", 5)))
     constants.clear()
     cfg["checks"] = {"cocycle": True}
     assert run_sweep(cfg)["status"] == "pass"
     assert constants == []
+
+
+def _plant(monkeypatch, module, name, nth, outcome):
+    """Make ``module.name`` return ``outcome`` on its nth call (or raise it,
+    if it is an exception) and behave as before on every other call."""
+    real = getattr(module, name)
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        if len(calls) != nth:
+            return real(*args)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(module, name, planted)
+
+
+def _one_check_config(systems, **checks):
+    cfg = load_config(None)
+    cfg["systems"] = [{"type": s[0], "rank": int(s[1:])} for s in systems]
+    cfg["checks"] = checks
+    return cfg
+
+
+# Each fault is planted in the function a check relies on; the expected
+# entries were recorded before the checks returned their outcomes.
+@pytest.mark.parametrize("module, name, nth, outcome, entry", [
+    (weyl, "check_first_difference", 30, False,
+     {"name": "first_difference", "system": "A3", "mode": "exhaustive",
+      "count": 30, "passed": False,
+      "counterexample": {"word": [2], "root": [0, 0, -1]}}),
+    (tits, "check_cocycle_formula", 20, False,
+     {"name": "cocycle", "system": "B2", "mode": "exhaustive", "count": 20,
+      "passed": False, "counterexample": {"u_word": [2], "v_word": [1, 2]}}),
+    (affine, "check_second_difference", 5, False,
+     {"name": "second_difference", "system": "A3", "mode": "exhaustive",
+      "count": 6, "passed": False,
+      "counterexample": {"class_node": 1, "root": [0, -1, 0]}}),
+    (affine, "sigma_rs", 2, AssertionError("planted fiber fault"),
+     {"name": "fibers", "system": "A3", "mode": "exhaustive", "count": 1,
+      "passed": False,
+      "counterexample": {"class_node": 3, "failure": "planted fiber fault"}}),
+    (chevalley, "evaluate_character", 3, 2,
+     {"name": "characters", "system": "A3", "mode": "exhaustive", "count": 3,
+      "passed": False, "counterexample": {"class_node": 2}}),
+    (fixer, "solve", 40, None,
+     {"name": "fixer", "system": "A3", "mode": "sampled", "count": 40,
+      "passed": False,
+      "counterexample": {"lattice": "simply-connected", "class_node": None,
+                         "q": 7}}),
+])
+def test_planted_fault_gives_the_recorded_entry(monkeypatch, module, name, nth,
+                                                outcome, entry):
+    _plant(monkeypatch, module, name, nth, outcome)
+    report = run_sweep(_one_check_config([entry["system"]], **{entry["name"]: True}))
+    validate_report(report)
+    assert report["status"] == "fail"
+    (got,) = report["checks"]
+    if entry["name"] == "fixer":  # the drawn functional is the check's own
+        assert len(got["counterexample"].pop("lambda")) == 4
+    assert got == entry
+
+
+def test_fixer_witness_does_not_depend_on_other_checks(monkeypatch):
+    witnesses = []
+    for checks in ({"fixer": True}, {"cocycle": True, "fixer": True}):
+        _plant(monkeypatch, fixer, "solve", 7, None)
+        report = run_sweep(_one_check_config(["D5"], **checks))
+        witnesses.append(report["checks"][-1]["counterexample"])
+    assert witnesses[0]["q"] == 5 and len(witnesses[0]["lambda"]) == 6
+    assert witnesses[0] == witnesses[1]
+
+
+def test_lattice_names_are_checked_before_any_check(monkeypatch, tmp_path, capsys):
+    constants = _count_calls(monkeypatch, chevalley, "build_constants")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"systems": [{"type": "D", "rank": 7},
+                                            {"type": "E", "rank": 6}],
+                                "lattices": ["SO"]}))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert "no lattice of E6 matches ['SO']" in capsys.readouterr().err
+    assert constants == []
+
+
+def _fixture_config(tmp_path, doc, systems=("A2", "A3")):
+    fixture = tmp_path / "constants.json"
+    fixture.write_text(json.dumps(doc))
+    return _characters_config(tmp_path, str(fixture), systems), fixture
+
+
+def test_constants_fixture_applies_to_the_system_it_names(monkeypatch, tmp_path, capsys):
+    doc = table_to_json(build_constants(root_system("A", 2)))
+    path, fixture = _fixture_config(tmp_path, doc)
+    real_open = open
+    opened = []
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    out = tmp_path / "report.json"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert opened.count(str(fixture)) == 1
+    report = json.loads(out.read_text())
+    assert [(c["system"], c["passed"]) for c in report["checks"]] == \
+        [("A2", True), ("A3", True)]
+    capsys.readouterr()
+
+
+def test_corrupted_fixture_fails_only_its_system(tmp_path, capsys):
+    doc = table_to_json(build_constants(root_system("A", 2)))
+    doc["constants"][0][2] *= 5
+    path, _ = _fixture_config(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    a2, a3 = json.loads(out.read_text())["checks"]
+    assert (a2["system"], a2["passed"], a2["count"]) == ("A2", False, 1)
+    assert a2["counterexample"]["failure"] == "jacobi"
+    assert (a3["system"], a3["passed"]) == ("A3", True)
+    capsys.readouterr()
+
+
+def test_fixture_naming_no_configured_system_is_config_error(tmp_path, capsys):
+    doc = table_to_json(build_constants(root_system("A", 2)))
+    path, _ = _fixture_config(tmp_path, doc, systems=("A1", "A3"))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad constants fixture")

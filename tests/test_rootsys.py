@@ -127,6 +127,14 @@ def test_negation_and_pairing_symmetry(label, rank, get_rs):
 
 
 @pytest.mark.parametrize("label,rank", sorted(KNOWN_COUNTS))
+def test_norms_match_the_form(label, rank, get_rs):
+    """The root norms, built from integer pairings, agree with the Gram form."""
+    rs = get_rs(label, rank)
+    for k in range(rs.nroots):
+        assert rs.norms2[k] == rs.form(k, k)
+
+
+@pytest.mark.parametrize("label,rank", sorted(KNOWN_COUNTS))
 def test_pairing_table_against_symmetrized_form(label, rank, get_rs):
     """<a, b^vee> must equal 2(a|b)/(b|b) for the invariant form."""
     rs = get_rs(label, rank)
