@@ -323,6 +323,8 @@ def run_sweep(cfg: dict) -> dict:
             ctx.lattices = _select_lattices(ctx, cfg)
     if "characters" in enabled and cfg["constants_fixture"] is not None:
         _load_fixture(contexts, cfg["constants_fixture"])
+    # a swept system that also has a table keeps its context for it
+    tabled = {_sysname(tabdef): None for tabdef in cfg["tables"]}
     while contexts:
         ctx = contexts.pop(0)  # so a finished system's tables can be freed
         for name in enabled:
@@ -331,10 +333,14 @@ def run_sweep(cfg: dict) -> dict:
             report["checks"].append({"name": name, "system": ctx.name, "mode": mode,
                                      "count": count, "passed": witness is None,
                                      "counterexample": witness})
+        if ctx.name in tabled:
+            tabled[ctx.name] = ctx
     for tabdef in cfg["tables"]:
-        rs = root_system(tabdef["type"], tabdef["rank"])
-        doc = emit_table_doc(rs, tabdef.get("node"))
-        report["tables"][_sysname(tabdef)] = doc
+        name = _sysname(tabdef)
+        ctx = tabled[name] or SystemContext(tabdef)
+        tabled[name] = ctx
+        report["tables"][name] = emit_table_doc(ctx.rs, tabdef.get("node"),
+                                                ctx.omegas)
     report["status"] = "pass" if all(c["passed"] for c in report["checks"]) \
         else "fail"
     return report
@@ -380,10 +386,12 @@ def cocycle_table_doc(rs, budget: int) -> dict:
     }
 
 
-def emit_table_doc(rs, node=None) -> dict:
+def emit_table_doc(rs, node=None, group=None) -> dict:
     """The additive-triple table: rows are the (1,0) part, columns the
-    (0,1) part, cells the sums landing in the (1,1) part."""
-    group = affine.omega_group(rs, affine.adjoint_lattice(rs))
+    (0,1) part, cells the sums landing in the (1,1) part.  ``group`` is
+    the adjoint alcove-stabilizer group, built here when not given."""
+    if group is None:
+        group = affine.omega_group(rs, affine.adjoint_lattice(rs))
     cands = [om for om in group if om.order() >= 3 and
              (node is None or om.class_node == node)]
     if not cands:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
 from .intmat import mat_det
@@ -249,6 +250,36 @@ class RootSystem:
         self.simple_perms = tuple(perms)
         # simple_getters[i](perm) is perm composed with s_i on the right
         self.simple_getters = tuple(itemgetter(*p) for p in perms)
+
+    @cached_property
+    def coset_chain(self) -> tuple[tuple[itemgetter, ...], ...]:
+        """Minimal coset representatives along J_1 < J_2 < ... < J_rank = S.
+
+        With J_k = {1..k}, ``coset_chain[k - 1]`` holds the elements of
+        W_{J_k} with no right descent in J_{k-1}: the minimal left coset
+        representatives of W_{J_{k-1}} in W_{J_k}, identity first, as
+        ``itemgetter``s that compose on the right like ``simple_getters``.
+        Every w in W is c_rank ... c_1 for exactly one c_k per level
+        (Björner-Brenti, *Combinatorics of Coxeter Groups*, §2.4).  Each
+        level is a breadth-first search from the identity under left
+        multiplication by s_1..s_k; dropping the first letter of a reduced
+        word keeps an element a representative, so the search reaches them
+        all.  Built on first use, from ``simple_perms`` alone.
+        """
+        npos = self.npos
+        levels = []
+        for k in range(1, self.rank + 1):
+            smaller = self.simple_index[:k - 1]
+            found = [tuple(range(self.nroots))]
+            seen = set(found)
+            for p in found:
+                for s in self.simple_perms[:k]:
+                    x = tuple(map(s.__getitem__, p))
+                    if x not in seen and all(x[j] >= npos for j in smaller):
+                        seen.add(x)
+                        found.append(x)
+            levels.append(tuple(itemgetter(*p) for p in found))
+        return tuple(levels)
 
     # -- basic queries ------------------------------------------------
 

@@ -13,6 +13,13 @@ S(w) = sum_{b in inv(w)} b^vee in simple-coroot coordinates, built once
 from ``inversion_set``.  Since <a, b^vee> is linear in b^vee, the first
 difference at any root a is then a rank-length dot product with a's
 simple-coroot pairings, checked against the height drop read off ``perm``.
+
+Sampling is uniform by construction.  ``unrank`` is a bijection from
+[0, |W|) onto W: it reads an index's mixed-radix digits as one minimal
+coset representative per level of the parabolic chain
+``RootSystem.coset_chain`` and composes them, so ``random_element``,
+which unranks one uniform index, draws every element with probability
+1/|W|.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ __all__ = [
     "WeylElement",
     "identity",
     "simple_reflection",
-    "from_word",
     "inversion_set",
     "flip_set",
     "flip_functional",
@@ -34,6 +40,7 @@ __all__ = [
     "longest_element",
     "group_order",
     "enumerate_group",
+    "unrank",
     "random_element",
 ]
 
@@ -309,12 +316,29 @@ def enumerate_group(rs: RootSystem) -> list[WeylElement]:
     return out
 
 
-def random_element(rs: RootSystem, rng) -> WeylElement:
-    """Pseudo-random element: a long random word, well mixed for sweeps.
+def unrank(rs: RootSystem, n: int) -> WeylElement:
+    """The element with index n in [0, |W|): w = c_rank ... c_1.
 
-    The word length varies by one so both determinant classes are hit
-    (a fixed-length word can only reach elements of one sign).
+    c_k is one of the |W_{J_k}| / |W_{J_(k-1)}| representatives in
+    ``rs.coset_chain[k - 1]``.  The mixed-radix digits of n, least
+    significant first, pick c_rank, then c_(rank-1), down to c_1, so
+    distinct indices give distinct elements and every element has one.
     """
-    k = 2 * rs.npos + rng.randrange(2)
-    word = [rng.randrange(1, rs.rank + 1) for _ in range(k)]
-    return from_word(rs, word)
+    order = group_order(rs)
+    if not 0 <= n < order:
+        raise ValueError(f"index {n} is not in [0, {order})")
+    perm = _identity_perm(rs)
+    for level in reversed(rs.coset_chain):
+        n, digit = divmod(n, len(level))
+        perm = level[digit](perm)
+    return WeylElement(rs, perm)
+
+
+def random_element(rs: RootSystem, rng) -> WeylElement:
+    """A uniformly random element: ``unrank`` of ``rng.randrange(|W|)``.
+
+    Uniform by construction, since ``unrank`` is a bijection onto W; one
+    draw costs one ``randrange`` and rank compositions of root
+    permutations.
+    """
+    return unrank(rs, rng.randrange(group_order(rs)))

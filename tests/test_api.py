@@ -1,5 +1,7 @@
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,28 @@ def test_public_names_have_callers(name):
     used = _names_used_in_src() | REFERENCE_ROUTES
     exported = importlib.import_module(name).__all__
     assert [x for x in exported if x not in used] == []
+
+
+def _bench_tracer(monkeypatch):
+    """bench/tracer.py, imported from its file without writing bytecode."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_resolve(monkeypatch):
+    """The bench tracer wraps these by name; a rename or deletion fails here
+    rather than crashing the traced benchmark."""
+    missing = []
+    for qualname in _bench_tracer(monkeypatch).TRACED:
+        modname, _, attr = qualname.partition(".")
+        owner = importlib.import_module(f"weylrep.{modname}")
+        if "." in attr:
+            clsname, attr = attr.split(".")
+            owner = getattr(owner, clsname, None)
+        if attr not in vars(owner or object):
+            missing.append(qualname)
+    assert missing == []

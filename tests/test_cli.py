@@ -494,3 +494,73 @@ def test_fixture_naming_no_configured_system_is_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: bad constants fixture")
+
+
+def test_a_swept_system_lends_its_context_to_its_table(monkeypatch):
+    """A table of a swept system reuses its root system and adjoint Ω group;
+    a table of an unswept system builds its own.  Tables keep config order."""
+    lattices = len(affine.all_lattices(root_system("D", 5)))
+    systems = _count_calls(monkeypatch, cli, "root_system")
+    omegas = _count_calls(monkeypatch, affine, "omega_group")
+    cfg = load_config(None)
+    cfg["systems"] = [{"type": "D", "rank": 5}]
+    cfg["tables"] = [{"type": "D", "rank": 5, "node": 5}]
+    report = run_sweep(cfg)
+    assert report["status"] == "pass"
+    assert (len(systems), len(omegas)) == (1, lattices)
+    assert report["tables"]["D5"] == emit_table_doc(root_system("D", 5), node=5)
+    systems.clear()
+    omegas.clear()
+    cfg["tables"] = [{"type": "A", "rank": 3}, {"type": "D", "rank": 5, "node": 5}]
+    report = run_sweep(cfg)
+    assert (len(systems), len(omegas)) == (2, lattices + 1)
+    assert list(report["tables"]) == ["A3", "D5"]
+    text = cli._report_text(report)
+    assert text.index("A3: triples") < text.index("D5: triples")
+
+
+def _plant_where(monkeypatch, module, name, holds):
+    """Make ``module.name`` return False wherever ``holds`` does."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: not holds(*args) and real(*args))
+
+
+# E6 is sampled at the default budgets; A3 is sampled only at budget 0.
+@pytest.mark.parametrize("system, budgets", [
+    ("E6", {}), ("A3", {"budget": 0, "pair_budget": 0})])
+def test_sampled_first_difference_catches_a_planted_fault(monkeypatch, system,
+                                                          budgets):
+    rs = root_system(system[0], int(system[1:]))
+    hi, a1 = rs.highest_root, rs.simple_index[0]
+
+    def holds(w, a):  # w sends alpha_1 to the highest root, checked at it
+        return a == hi and w.perm[a1] == hi
+
+    _plant_where(monkeypatch, weyl, "check_first_difference", holds)
+    cfg = {**_one_check_config([system], first_difference=True), **budgets}
+    (got,) = run_sweep(cfg)["checks"]
+    assert (got["mode"], got["passed"]) == ("sampled", False)
+    assert (got["count"] - 1) % rs.nroots == hi
+    witness = got["counterexample"]
+    assert witness["root"] == list(rs.roots[hi])
+    assert holds(weyl.from_word(rs, witness["word"]), hi)
+
+
+@pytest.mark.parametrize("system, budgets", [
+    ("E6", {}), ("A3", {"budget": 0, "pair_budget": 0})])
+def test_sampled_cocycle_catches_a_planted_fault(monkeypatch, system, budgets):
+    rs = root_system(system[0], int(system[1:]))
+    hi, a1 = rs.highest_root, rs.simple_index[0]
+
+    def holds(u, v):  # uv sends alpha_1 to the highest root
+        return (u * v).perm[a1] == hi
+
+    _plant_where(monkeypatch, tits, "check_cocycle_formula", holds)
+    cfg = {**_one_check_config([system], cocycle=True), **budgets}
+    (got,) = run_sweep(cfg)["checks"]
+    assert (got["mode"], got["passed"]) == ("sampled", False)
+    assert 1 <= got["count"] <= cfg["samples"]
+    witness = got["counterexample"]
+    assert holds(weyl.from_word(rs, witness["u_word"]),
+                 weyl.from_word(rs, witness["v_word"]))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from weylrep.weyl import (
     inversion_set,
     longest_element,
     simple_reflection,
+    unrank,
 )
 
 
@@ -266,3 +268,119 @@ def test_parabolic_longest_element(get_rs):
     assert longest_element(rs, (1, 3)) == from_word(rs, (1, 3))
     assert longest_element(rs, (1, 2, 3)) == longest_element(rs)
     assert longest_element(rs).length == rs.npos
+
+
+# Every type with |W| <= 51 840, so each group can be listed in full.
+SMALL_TYPES = ([("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 7)]
+               + [("C", n) for n in range(2, 7)] + [("D", n) for n in range(3, 7)]
+               + [("E", 6), ("F", 4), ("G", 2)])
+
+# Degrees of the basic invariants (Humphreys, Reflection Groups and
+# Coxeter Groups, §3.7); |W| is their product.
+DEGREES = {("E", 6): (2, 5, 6, 8, 9, 12), ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+           ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30), ("F", 4): (2, 6, 8, 12),
+           ("G", 2): (2, 6)}
+
+
+def _degrees(label, rank):
+    if label == "A":
+        return tuple(range(2, rank + 2))
+    if label in ("B", "C"):
+        return tuple(range(2, 2 * rank + 1, 2))
+    if label == "D":
+        return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
+    return DEGREES[(label, rank)]
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poincare(label, rank):
+    """Coefficients of prod_i (1 + q + ... + q^(d_i - 1))."""
+    poly = [1]
+    for d in _degrees(label, rank):
+        poly = _poly_mul(poly, [1] * d)
+    return poly
+
+
+@pytest.mark.parametrize("label,rank", SMALL_TYPES)
+def test_unrank_is_a_bijection_onto_the_group(label, rank, get_rs):
+    """unrank hits |W| distinct elements, the set enumerate_group lists, and
+    their lengths count as the Poincaré polynomial says."""
+    rs = get_rs(label, rank)
+    order = group_order(rs)
+    assert order == math.prod(_degrees(label, rank))
+    perms = set()
+    lengths = [0] * (rs.npos + 1)
+    for n in range(order):
+        w = unrank(rs, n)
+        perms.add(w.perm)
+        lengths[w.length] += 1
+    assert len(perms) == order
+    assert perms == {w.perm for w in enumerate_group(rs)}
+    assert lengths == _poincare(label, rank)
+
+
+@pytest.mark.parametrize("label,rank", SMALL_TYPES + [("E", 7), ("E", 8)])
+def test_coset_chain_factors_the_poincare_polynomial(label, rank, get_rs):
+    """The levels' length polynomials multiply to the Poincaré polynomial,
+    since lengths add along W_{J_k} = W^{J_(k-1)} W_{J_(k-1)}, and the
+    longest representatives multiply to w_0."""
+    rs = get_rs(label, rank)
+    start = tuple(range(rs.nroots))
+    poly = [1]
+    longest = identity(rs)
+    for level in rs.coset_chain:
+        reps = [weyl.WeylElement(rs, getter(start)) for getter in level]
+        assert reps[0] == identity(rs)
+        level_poly = [0] * (max(c.length for c in reps) + 1)
+        for c in reps:
+            level_poly[c.length] += 1
+        poly = _poly_mul(poly, level_poly)
+        longest = max(reps, key=lambda c: c.length) * longest
+    assert poly == _poincare(label, rank)
+    assert longest == longest_element(rs)
+
+
+def test_coset_chain_level_sizes(get_rs):
+    assert [len(level) for level in get_rs("E", 7).coset_chain] == \
+        [2, 2, 3, 10, 16, 27, 56]
+    assert [len(level) for level in get_rs("E", 8).coset_chain] == \
+        [2, 2, 3, 10, 16, 27, 56, 240]
+    assert [len(level) for level in get_rs("A", 4).coset_chain] == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("label,rank", [("A", 1), ("B", 3), ("G", 2), ("D", 4)])
+def test_random_element_covers_the_group_once(label, rank, get_rs):
+    """With an rng whose randrange yields every index once, |W| draws are W."""
+    rs = get_rs(label, rank)
+    order = group_order(rs)
+
+    class EveryIndex:
+        def __init__(self):
+            self.indices = iter(range(order))
+
+        def randrange(self, stop):
+            assert stop == order
+            return next(self.indices)
+
+    rng = EveryIndex()
+    drawn = [weyl.random_element(rs, rng).perm for _ in range(order)]
+    assert len(set(drawn)) == order
+    assert set(drawn) == {w.perm for w in enumerate_group(rs)}
+
+
+def test_unrank_rejects_an_index_outside_the_group(get_rs):
+    for label, rank in (("A", 2), ("E", 8)):
+        rs = get_rs(label, rank)
+        order = group_order(rs)
+        assert unrank(rs, 0) == identity(rs)
+        assert unrank(rs, order - 1).perm != unrank(rs, 0).perm
+        for n in (-1, order, order + 5):
+            with pytest.raises(ValueError):
+                unrank(rs, n)
