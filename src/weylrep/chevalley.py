@@ -2,11 +2,11 @@
 
 The integral basis is built from the extraspecial-pair sign convention:
 for each positive non-simple root the additively-first decomposition
-gets a positive constant, and every other constant follows from the
-zero-sum-triple proportionality and the Jacobi identity.  Conjugation
-scalars of the canonical representatives are then read off from exact
-adjoint exponentials, which land in signed permutations of the root
-vectors.
+gets a positive constant, the other special pairs follow from the
+Jacobi identity, and each one fixed sets its whole zero-sum triple.
+Conjugation scalars of the canonical representatives are then read off
+from exact adjoint exponentials applied one basis vector at a time,
+which land in signed permutations of the root vectors.
 """
 
 from __future__ import annotations
@@ -72,49 +72,31 @@ def constants_from_special_pairs(rs: RootSystem, assigned,
     extraspecial pairs default to +1 and every other constant is forced.
     Passing None assigns +1 to all extraspecial pairs (the default
     convention).
+
+    Positive roots g go by height; the Jacobi step for g reads only
+    triples whose largest root is lower, so they are already set.
+    Fixing N(a, b) sets the twelve constants of the triple {a, b, -(a+b)}
+    and its negation by N_{r,s}/(t|t) = N_{s,t}/(r|r) = N_{t,r}/(s|s)
+    for r + s + t = 0, antisymmetry and N_{-r,-s} = -N_{r,s} (Carter,
+    Simple Groups of Lie Type, 4.1-4.2).  Every pair with a root sum
+    lies in one such triple, so the table is total.
     """
     n: dict = {}
-    norms = rs.norms2
-    neg = rs.neg
-    index = rs.index
-    roots = rs.roots
+    norms, neg, index, roots = rs.norms2, rs.neg, rs.index, rs.roots
 
     def sum_index(a: int, b: int):
         return index.get(tuple(x + y for x, y in zip(roots[a], roots[b])))
 
-    def lookup(a: int, b: int) -> int:
-        """Constant for a mixed/negative pair, reduced to the positive table."""
-        if (a, b) in n:
-            return n[(a, b)]
-        val = _derive(a, b)
-        n[(a, b)] = val
-        n[(b, a)] = -val
-        return val
+    def put(a: int, b: int, val: int) -> None:
+        c = neg[sum_index(a, b)]
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            v = Fraction(norms[z], norms[c]) * val
+            if v.denominator != 1:
+                raise AssertionError("non-integral derived constant")
+            v = int(v)
+            n[(x, y)] = n[(neg[y], neg[x])] = v
+            n[(y, x)] = n[(neg[x], neg[y])] = -v
 
-    def _derive(a: int, b: int) -> int:
-        pa, pb = rs.is_positive(a), rs.is_positive(b)
-        if pa and pb:
-            raise AssertionError("positive pair missing from the table")
-        if not pa and not pb:
-            return -lookup(neg[a], neg[b])
-        if not pa:
-            return -lookup(b, a) if (b, a) in n else -_derive_mixed(b, a)
-        return _derive_mixed(a, b)
-
-    def _derive_mixed(a: int, b: int) -> int:
-        # a > 0 > b with a + b a root; reduce through the zero-sum triple
-        z = sum_index(a, b)
-        if rs.is_positive(z):
-            # x = z + (-b) as positives: N(a,b)/(z|z) = N(b,-z)/(a|a)
-            val = Fraction(norms[z], norms[a]) * (-lookup(neg[b], z))
-        else:
-            # -b = a + (-z) as positives: N(a,b)/(z|z) = N(-z,a)/(b|b)
-            val = Fraction(norms[z], norms[b]) * lookup(neg[z], a)
-        if val.denominator != 1:
-            raise AssertionError("non-integral derived constant")
-        return int(val)
-
-    # positive table, by height of the sum; extraspecial pair first
     for g in rs.positive_indices():
         pairs = _special_pairs(rs, g)
         if not pairs:
@@ -122,20 +104,19 @@ def constants_from_special_pairs(rs: RootSystem, assigned,
         a0, b0 = pairs[0]
         _, q = root_string(rs, a0, b0)
         want = assigned.get((a0, b0), 1) if assigned else 1
-        n[(a0, b0)] = want * (q + 1)
-        n[(b0, a0)] = -n[(a0, b0)]
-        denom = -Fraction(norms[b0], norms[g]) * n[(a0, b0)]  # N(g, -a0)
+        put(a0, b0, want * (q + 1))
+        denom = n[(g, neg[a0])]
         for c, d in pairs[1:]:
             # Jacobi on (-a0, c, d): the unknown N(c,d) multiplies N(g,-a0)
             t1 = 0
             cma = sum_index(c, neg[a0])
             if cma is not None:
-                t1 = lookup(neg[a0], c) * lookup(cma, d)
+                t1 = n[(neg[a0], c)] * n[(cma, d)]
             t2 = 0
             dma = sum_index(d, neg[a0])
             if dma is not None:
-                t2 = lookup(d, neg[a0]) * lookup(dma, c)
-            val = Fraction(-(t1 + t2)) / denom
+                t2 = n[(d, neg[a0])] * n[(dma, c)]
+            val = Fraction(-(t1 + t2), denom)
             if val.denominator != 1:
                 raise AssertionError("Jacobi division left a remainder")
             ncd = int(val)
@@ -143,16 +124,7 @@ def constants_from_special_pairs(rs: RootSystem, assigned,
                     (1 if ncd > 0 else -1) != assigned[(c, d)]:
                 raise ValueError(f"sign for pair {(c, d)} is not consistently "
                                  f"achievable in a Chevalley basis")
-            n[(c, d)] = ncd
-            n[(d, c)] = -ncd
-
-    # fill every remaining pair eagerly so the table is total
-    for a in range(rs.nroots):
-        for b in range(rs.nroots):
-            if b == a or b == neg[a]:
-                continue
-            if sum_index(a, b) is not None:
-                lookup(a, b)
+            put(c, d, ncd)
 
     table = StructureConstantTable(rs, convention_id, n)
     _validate_strings(table)
@@ -300,56 +272,48 @@ def _ad_matrix(table: StructureConstantTable, a: int):
     return cols
 
 
-def _sparse_exp(cols, scale: Fraction):
-    """exp(scale * M) for nilpotent sparse M given by columns."""
-    dim = len(cols)
-    out: list[dict] = []
-    for k in range(dim):
-        vec = {k: Fraction(1)}
-        term = {k: Fraction(1)}
-        power = 0
-        while term:
-            power += 1
-            nxt: dict = {}
-            for idx, coef in term.items():
-                for tgt, m in cols[idx].items():
-                    nxt[tgt] = nxt.get(tgt, Fraction(0)) + coef * m * scale
-            term = {i: v / power for i, v in nxt.items() if v}
-            for i, v in term.items():
-                vec[i] = vec.get(i, Fraction(0)) + v
-            if power > dim:
-                raise AssertionError("ad matrix is not nilpotent")
-        out.append({i: v for i, v in vec.items() if v})
-    return out
+def _exp_apply(cols, scale: Fraction, vec: dict) -> dict:
+    """exp(scale * M) vec for nilpotent sparse M given by columns."""
+    out = dict(vec)
+    term = vec
+    power = 0
+    while term:
+        power += 1
+        nxt: dict = {}
+        for idx, coef in term.items():
+            for tgt, m in cols[idx].items():
+                nxt[tgt] = nxt.get(tgt, 0) + coef * m
+        term = {i: v * scale / power for i, v in nxt.items() if v}
+        for i, v in term.items():
+            out[i] = out.get(i, 0) + v
+        if power > len(cols):
+            raise AssertionError("ad matrix is not nilpotent")
+    return {i: v for i, v in out.items() if v}
 
 
-def _sparse_mul(a_cols, b_cols):
-    """Columns of A @ B from columns of A and B."""
-    out = []
-    for col in b_cols:
-        vec: dict = {}
-        for idx, coef in col.items():
-            for tgt, m in a_cols[idx].items():
-                vec[tgt] = vec.get(tgt, Fraction(0)) + coef * m
-        out.append({i: v for i, v in vec.items() if v})
-    return out
+def _ad_n_columns(table: StructureConstantTable, i: int) -> list[dict]:
+    """Columns of Ad(n_i) = exp(ad e) exp(-ad f) exp(ad e), i 0-based."""
+    rs = table.rs
+    e = rs.simple_index[i]
+    ad_e = _ad_matrix(table, e)
+    ad_f = _ad_matrix(table, rs.neg[e])
+    one = Fraction(1)
+    return [_exp_apply(ad_e, one, _exp_apply(ad_f, -one,
+                                             _exp_apply(ad_e, one, {k: one})))
+            for k in range(rs.nroots + rs.rank)]
 
 
 def scalar_table(table: StructureConstantTable) -> ScalarTable:
     """Exponentiate n_i = u_i(1) u_{-i}(-1) u_i(1) in the adjoint action.
 
-    The resulting operator must act on every root vector as +-(another
-    root vector); anything else is a corrupted constants table.
+    Each column is the three exact exponentials applied to one basis
+    vector.  The resulting operator must act on every root vector as
+    +-(another root vector); anything else is a corrupted constants table.
     """
     rs = table.rs
     perms = []
     for i in range(rs.rank):
-        e = rs.simple_index[i]
-        f = rs.neg[e]
-        m = _sparse_mul(
-            _sparse_exp(_ad_matrix(table, e), Fraction(1)),
-            _sparse_mul(_sparse_exp(_ad_matrix(table, f), Fraction(-1)),
-                        _sparse_exp(_ad_matrix(table, e), Fraction(1))))
+        m = _ad_n_columns(table, i)
         sp = []
         srefl = rs.simple_perms[i]
         for b in range(rs.nroots):

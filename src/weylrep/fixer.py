@@ -18,7 +18,7 @@ from math import gcd
 
 from . import intmat
 from .affine import CocharLattice, OmegaElement, adjoint_lattice
-from .chevalley import ScalarTable, c_word, evaluate_character, highest_root_relation
+from .chevalley import ScalarTable, c_word
 from .rootsys import RootSystem
 
 __all__ = [
@@ -99,9 +99,6 @@ def build_system(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
         targets.append(t)
     mk = (1,) + tuple(rs.roots[rs.highest_root])
     weighted = sum(m * t for m, t in zip(mk, targets)) % n
-    cd = evaluate_character(scalars, highest_root_relation(rs), sigma)
-    if weighted != units.sign_log(cd):
-        raise AssertionError("row product disagrees with the relation character")
     if weighted != 0:
         raise InconsistentSystemError(
             f"weighted row product is {weighted} (mod {n}), not 0: "

@@ -289,9 +289,6 @@ class RootSystem:
     def is_positive(self, k: int) -> bool:
         return k >= self.npos
 
-    def height(self, k: int) -> int:
-        return self.heights[k]
-
     def root_name(self, k: int) -> str:
         return "".join(str(c) for c in self.roots[k])
 

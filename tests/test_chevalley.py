@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -25,6 +26,71 @@ EXHAUSTIVE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
                     ("C", 3), ("C", 4), ("C", 5), ("C", 6),
                     ("D", 4), ("D", 5), ("D", 6),
                     ("E", 6), ("F", 4), ("G", 2)]
+
+
+# sha256 of json.dumps(table_to_json(build_constants(rs))["constants"]) and
+# of json.dumps(scalar_table(...).signed_perm) under the default convention.
+# Jacobi and |N| = q + 1 hold for every sign choice, so only these pin which
+# signs the default extraspecial convention produces.
+DEFAULT_TABLE_SHA256 = {
+    ("A", 1): ("4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+              "a3b008d53a60fab6e64844abc7b752af2bf7c65470332758b9a4434578b39805"),
+    ("A", 2): ("09314e7020114c937319520e82ffc69bf8ff5935417801f362883fff3630d36d",
+              "8a0bb9decd26f36f9dcaa5953d26990eb77a2bd2edf91958f0ced0dad14a4e94"),
+    ("A", 3): ("8d34d8e9dc522068784d23fe569b7f7dc46472608be271b22d32f3ca02de7015",
+              "75ba515b5843d57eda7e522e797a41686ca0e20ea3b8ba45742f8321c698cf52"),
+    ("A", 4): ("da67bee71dafc65d85691c73a5f2592c9cf925e4d792146b238ce50ae62429f5",
+              "e71e396b24cab63d5ea029a7017ba723d69a761b9241da65b6616f558688cd62"),
+    ("A", 5): ("c7630d9ce172d5149307c34260e1b32ff513bf42788e736ac78ab8ed0bad2603",
+              "983f71c4fa1f64844085dc87795c5ea2d41f98bc8f581025bee9463dbc49fb71"),
+    ("A", 6): ("9b172a898ba4aefa57bf055bfc8233c1a9f571692f5da01c2a9648b4622ecb28",
+              "f74a96e32463a6ccb6d7772552cd152e70e5233341aa7168c8057478f61273c8"),
+    ("B", 2): ("a5b673c2fb821314165c6375aa780c7fa0171660380c738714aff78b68f7ed95",
+              "4363dc39cb6f5e7d6b5c355efad296d138789296c25c9851e706e2333eb14c9a"),
+    ("B", 3): ("50f1c07b506f2a1dde8565f458ad0f48296c3cebc87102c3c870517a78828c56",
+              "7817eedae28b2bdd69f680deed8c11ab1924d556e0425bb357f90ee787dfc890"),
+    ("B", 4): ("a91d2365d7d5b5d9df5cb3f25363e4e1771e68f9ec5180517a4d6193ec778813",
+              "a096853404a64d07a96c668182ea462c7d82a1ce1f9ff2a19d40431cbb3237c1"),
+    ("B", 5): ("944cab2e13723ebbf142c17814c3a169522e0faf136899fae08ca654c2152f6f",
+              "a29aff40b48503b25b89473d26f7d6b9f7b42141be031400a8fa3ee52caf9d03"),
+    ("B", 6): ("8c4c2b3fd073cb4989b884c0bb301710883ac359d88925aa08bec7c9b77cc8b5",
+              "dc750f1b1cfc2085cb0937dac820bbf8ed0c3229c48dcf8e46aa3e515649baf4"),
+    ("C", 3): ("231d3475a12e3215b34d51e3ba7ccb689c396c1656bb03f7d38a0453c3e4144f",
+              "7aaed1a09e08d665b61cdc4052aae3b7e4f4dc950d81732268058d0ccc70acc0"),
+    ("C", 4): ("65b8db1d12ca90c754a5c624fec7a0cef6c2c5b3088186f0db51b610b795d09c",
+              "cd60176e5f61342c6994af143063f2a58fdcdd636fa55ade31b71094113bc5a3"),
+    ("C", 5): ("89ce018f65149ccf550034cdea961fa61d5ab3d0a9531037ed9b4dff0c55fa44",
+              "f96a6e2cdc550be8ccb62c7b7391a0c07a5ff4dbb0a3d20f06ab2ac696343fbf"),
+    ("C", 6): ("a761de3aeac712fd635908cd12af245979aaa8a355386fb45b223e170237e719",
+              "4075af5253eb8874283f1c776af1d7f9c9d5db16bca46e9a8ae06530e1b9a4a9"),
+    ("D", 4): ("3f17665b673f49861b324b746da4ab859d820dfd3e4fcf4f9aaf5edc9b7e84d0",
+              "c617da3c47f1c323a5ffb0c65f9bec1b9e4b70bd2ab348e8b39fefcedfecf3cd"),
+    ("D", 5): ("0203ca7040fed9d0d7c8ba4f61f3a769b4839eba1aaf5db415511287d4f596ef",
+              "1f9a7af9352afdfad508a69f921a963015ea6f2ed874dccee070808fc2d433b7"),
+    ("D", 6): ("160430706c45a8c569a89931ef3d928f31913f59f1037c8ed8a261ee26c6adf9",
+              "63e7172c19c64e0eb85460357c59278cb8a20e321ad50eca453989e5560eaaeb"),
+    ("E", 6): ("fdfe1bd0d22f63ebf42bcb7e650d3b6af0f4d33b116a994d00e465f2044c9f9f",
+              "fe52e5ebd7b926ac544a97780b5289ffe25a726cff62fb4b11b3ed00651848f2"),
+    ("F", 4): ("eff34ad6442b63571838df6d9c3ee4ada002ed328b97d30826ad7ce0a89000ba",
+              "d3c1b8fad0194d7c5b3e3950d5a2afd7dffa0fa7e4ddd90e69dda5d132403540"),
+    ("G", 2): ("4200c083902b56c82aea2fb0060aa26643090dc33232dc27a889eb3760201a06",
+              "3c852d33e29a12fe32b3a096ec1aa0f64cfd552c076c5f49be4c48c2511da1a0"),
+    ("E", 7): ("55881b28489f770a2ba621bba7936760093ea5762736a95cde2b7b6e4614e95b",
+              "e6f3466e0b5f29369bf1e89fd4333b762812a04d6f68b103d526db88e4aaac15"),
+    ("E", 8): ("2f8cae890b1cc1727e87710db74c17e462b9856814571ff7ed0cdf309ba282d0",
+              "50cc4a1b8fe77122f59f276a3faed978b20e4335ed0d54c5a396ad96dbae3c51"),
+}
+
+
+@pytest.mark.parametrize("label,rank",
+                         EXHAUSTIVE_TYPES + [("E", 7), ("E", 8)])
+def test_default_tables_are_pinned(label, rank, get_scalars):
+    table, scalars = get_scalars(label, rank)
+    constants = json.dumps(table_to_json(table)["constants"]).encode()
+    perms = json.dumps(scalars.signed_perm).encode()
+    assert (hashlib.sha256(constants).hexdigest(),
+            hashlib.sha256(perms).hexdigest()) == \
+        DEFAULT_TABLE_SHA256[(label, rank)]
 
 
 def b2_fixture_table(rs):
@@ -137,8 +203,7 @@ def test_signed_perm_matches_dense_composition(get_rs, get_scalars):
     """Spot-check the sparse oracle against literal matrix products."""
     rs = get_rs("B", 2)
     table, scalars = get_scalars("B", 2)
-    from weylrep.chevalley import _ad_matrix, _sparse_exp, _sparse_mul
-    from fractions import Fraction
+    from weylrep.chevalley import _ad_n_columns
 
     def dense(cols, dim):
         m = [[0] * dim for _ in range(dim)]
@@ -151,13 +216,7 @@ def test_signed_perm_matches_dense_composition(get_rs, get_scalars):
     dim = rs.nroots + rs.rank
     mats = []
     for i in range(rs.rank):
-        e = rs.simple_index[i]
-        f = rs.neg[e]
-        cols = _sparse_mul(
-            _sparse_exp(_ad_matrix(table, e), Fraction(1)),
-            _sparse_mul(_sparse_exp(_ad_matrix(table, f), Fraction(-1)),
-                        _sparse_exp(_ad_matrix(table, e), Fraction(1))))
-        mats.append(dense(cols, dim))
+        mats.append(dense(_ad_n_columns(table, i), dim))
     rng = random.Random(8)
     from weylrep.intmat import mat_mul
     for _ in range(20):

@@ -147,7 +147,6 @@ def test_inconsistent_system_diagnostic(get_rs, get_scalars, monkeypatch):
         return -val if a == rs.neg[rs.highest_root] else val
 
     monkeypatch.setattr(fx, "c_word", bad_c_word)
-    monkeypatch.setattr(fx, "evaluate_character", lambda sc, rel, w: -1)
     with pytest.raises(InconsistentSystemError):
         build_system(rs, lat, om, lam, scalars, units)
 
