@@ -438,8 +438,11 @@ def format_table_text(doc: dict) -> str:
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
 

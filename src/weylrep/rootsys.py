@@ -281,6 +281,27 @@ class RootSystem:
             levels.append(tuple(itemgetter(*p) for p in found))
         return tuple(levels)
 
+    @cached_property
+    def height_steps(self) -> tuple[tuple[int, int, int], ...]:
+        """``(k, parent, i)`` with root_k = root_parent + alpha_i (i 0-based).
+
+        One step for each positive non-simple root k, in index order, so a
+        parent, being lower, always comes before its child: a function
+        that is linear in the root is filled in up the heights from its
+        values on the simple roots.  Built on first use.
+        """
+        steps = []
+        for k in self.positive_indices():
+            r = self.roots[k]
+            if sum(r) == 1:
+                continue
+            for i in range(self.rank):
+                lower = r[:i] + (r[i] - 1,) + r[i + 1:]
+                if r[i] and lower in self.index:
+                    steps.append((k, self.index[lower], i))
+                    break
+        return tuple(steps)
+
     # -- basic queries ------------------------------------------------
 
     def positive_indices(self) -> range:

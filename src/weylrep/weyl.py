@@ -8,11 +8,14 @@ sign-flip machinery lives here: inversion sets, the two-step flip set
 ``flip_set(u, v)`` of positive roots sent negative by ``v`` and back to
 positive by ``u``, and the coroot-sum functionals built on it.
 
-Each element also caches its inversion-set coroot sum
-S(w) = sum_{b in inv(w)} b^vee in simple-coroot coordinates, built once
-from ``inversion_set``.  Since <a, b^vee> is linear in b^vee, the first
-difference at any root a is then a rank-length dot product with a's
-simple-coroot pairings, checked against the height drop read off ``perm``.
+The first difference at a root a pairs a with the inversion-set coroot
+sum S(w) = sum_{b in inv(w)} b^vee, which ``inversion_set`` gives.  Since
+the pairing is linear in both arguments, S(w) is paired with the simple
+roots only and the other roots follow up the heights; the vector of all
+pairings is kept for the last element checked, not cached per element.
+Each value is checked against the height drop read off ``perm``.
+``enumerate_group`` lists W breadth-first by length and composes only the
+moves that go up in length.
 
 Sampling is uniform by construction.  ``unrank`` is a bijection from
 [0, |W|) onto W: it reads an index's mixed-radix digits as one minimal
@@ -52,8 +55,7 @@ class WeylElement:
     indices following the Bourbaki numbering.
     """
 
-    __slots__ = ("rs", "perm", "_word", "_walk", "_length", "_coroot_sum",
-                 "_hash")
+    __slots__ = ("rs", "perm", "_word", "_walk", "_length", "_hash")
 
     def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
         self.rs = rs
@@ -61,7 +63,6 @@ class WeylElement:
         self._word = None
         self._walk = None
         self._length = None
-        self._coroot_sum = None
         self._hash = None
 
     def __eq__(self, other) -> bool:
@@ -154,12 +155,12 @@ class WeylElement:
 
         Equals rho^vee - w^-1(rho^vee); it is built from the inversion set,
         not from that closed form, so first-difference checks stay two-route.
+        Computed on each access and not kept: an exhaustive sweep reads it
+        once per element.
         """
-        if self._coroot_sum is None:
-            co = self.rs.coroots
-            rows = [co[b] for b in inversion_set(self)]
-            self._coroot_sum = tuple(map(sum, zip((0,) * self.rs.rank, *rows)))
-        return self._coroot_sum
+        co = self.rs.coroots
+        rows = [co[b] for b in inversion_set(self)]
+        return tuple(map(sum, zip((0,) * self.rs.rank, *rows)))
 
     def order(self) -> int:
         n = 1
@@ -233,18 +234,47 @@ def flip_functional(u: WeylElement, v: WeylElement, a: int) -> int:
     return sum(row[b] for b in flip_set(u, v))
 
 
+def _pairing_vector(w: WeylElement) -> list[int]:
+    """L[a] = <root_a, S(w)> for every root a, with S(w) = ``w.coroot_sum``.
+
+    Rank dot products give t_i = <alpha_i, S(w)>; by linearity each
+    positive non-simple root adds one t_i to its parent's value along
+    ``rs.height_steps``, and L(-a) = -L(a).
+    """
+    rs = w.rs
+    s = w.coroot_sum
+    psc = rs._psc
+    t = [sum(map(mul, psc[k], s)) for k in rs.simple_index]
+    vec = [0] * rs.nroots
+    for k, ti in zip(rs.simple_index, t):
+        vec[k] = ti
+    for k, parent, i in rs.height_steps:
+        vec[k] = vec[parent] + t[i]
+    # negation reverses the root order: neg[k] == nroots - 1 - k
+    vec[:rs.npos] = [-x for x in reversed(vec[rs.npos:])]
+    return vec
+
+
+# the last element checked and its pairing vector
+_last_pairing = [None, None]
+
+
 def check_first_difference(w: WeylElement, a: int) -> bool:
     """Inversion-set coroot sum against the height drop along w.
 
     Verifies sum_{b in inv(w)} <a, b^vee> == ht(a) - ht(w(a)).  The left
-    side is <a, S(w)> with S(w) = ``w.coroot_sum``, built from inv(w) once
-    per element; ``_psc[a]`` holds a's pairings with the simple coroots.
-    The right side reads only heights and ``w.perm``, so the two sides
-    still come from independent routes.
+    side is <a, S(w)> with S(w) = ``w.coroot_sum``, built from inv(w):
+    ``_pairing_vector`` pairs S(w) with every root at once, and the vector
+    of the last element checked is kept, so a sweep over all roots of one
+    element builds it once and no element keeps it.  The right side reads
+    only heights and ``w.perm``, so the two sides still come from
+    independent routes.
     """
-    rs = w.rs
-    lhs = sum(map(mul, rs._psc[a], w.coroot_sum))
-    return lhs == rs.heights[a] - rs.heights[w.perm[a]]
+    memo = _last_pairing
+    if memo[0] is not w:
+        memo[:] = w, _pairing_vector(w)
+    heights = w.rs.heights
+    return memo[1][a] == heights[a] - heights[w.perm[a]]
 
 
 def check_flip_symmetry(w: WeylElement) -> bool:
@@ -297,22 +327,28 @@ def group_order(rs: RootSystem) -> int:
 
 
 def enumerate_group(rs: RootSystem) -> list[WeylElement]:
-    """All elements, breadth-first by length; deterministic order."""
-    ident = identity(rs)
-    seen = {ident.perm}
-    out = [ident]
-    frontier = [ident.perm]
-    getters = rs.simple_getters
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for getter in getters:
-                x = getter(p)
-                if x not in seen:
-                    seen.add(x)
-                    out.append(WeylElement(rs, x))
-                    nxt.append(x)
-        frontier = nxt
+    """All elements, breadth-first by length; deterministic order.
+
+    Level l + 1 is built from level l alone: p s_i is composed only when
+    p(alpha_i) > 0, the moves that make p longer (Humphreys, *Reflection
+    Groups and Coxeter Groups*, §1.6-1.7), and an insertion-ordered dict
+    keeps each new element where it is first reached.  The order is
+    that of a breadth-first search over all moves with one global
+    ``seen`` set, since an element of length l + 1 is reached only from
+    level l.
+    """
+    npos = rs.npos
+    moves = tuple(zip(rs.simple_index, rs.simple_getters))
+    out = [identity(rs)]
+    level = [out[0].perm]
+    while level:
+        nxt = {}
+        for p in level:
+            for s, getter in moves:
+                if p[s] >= npos:
+                    nxt[getter(p)] = None
+        level = list(nxt)
+        out.extend(WeylElement(rs, x) for x in level)
     return out
 
 

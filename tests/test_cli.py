@@ -1,4 +1,7 @@
+import gc
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -564,3 +567,44 @@ def test_sampled_cocycle_catches_a_planted_fault(monkeypatch, system, budgets):
     witness = got["counterexample"]
     assert holds(weyl.from_word(rs, witness["u_word"]),
                  weyl.from_word(rs, witness["v_word"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--type", "A", "--rank", "1"],
+    ["cocycle", "--type", "A", "--rank", "1"],
+    ["cocycle", "--type", "A", "--rank", "2", "--dump"],
+    ["fixer", "--type", "A", "--rank", "1", "--q", "5", "--samples", "2"],
+    ["table", "--type", "A", "--rank", "3"],
+    ["dump-rootsys", "--type", "A", "--rank", "2"],
+])
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, argv, where):
+    out = tmp_path / "nope" / "r.json" if where == "missing directory" \
+        else tmp_path
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cannot write {out}: ")
+
+
+def test_first_difference_sweep_keeps_nothing_per_element():
+    """An exhaustive sweep keeps no per-element pairing data: what it
+    leaves behind is well under one small tuple per element.  A full
+    collection empties the interpreter's free lists, which would
+    otherwise count as held memory."""
+    ctx = cli.SystemContext({"type": "D", "rank": 5})
+    group = ctx.group
+    cfg = {**load_config(None), "budget": len(group)}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        outcome = cli._sweep_first_difference(ctx, cfg, random.Random(0))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert outcome == ("exhaustive", len(group) * ctx.rs.nroots, None)
+    assert len(group) == 1920
+    assert retained < 64 * len(group)

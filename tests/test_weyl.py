@@ -1,5 +1,6 @@
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -384,3 +385,76 @@ def test_unrank_rejects_an_index_outside_the_group(get_rs):
         for n in (-1, order, order + 5):
             with pytest.raises(ValueError):
                 unrank(rs, n)
+
+
+def _enumerate_group_oracle(rs):
+    """Breadth-first search over every move s_i, with one global ``seen``
+    set: the order the exhaustive witnesses were pinned in."""
+    start = tuple(range(rs.nroots))
+    seen = {start}
+    out = [start]
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for getter in rs.simple_getters:
+                x = getter(p)
+                if x not in seen:
+                    seen.add(x)
+                    out.append(x)
+                    nxt.append(x)
+        frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize("label,rank", SMALL_TYPES)
+def test_enumerate_group_keeps_the_full_search_order(label, rank, get_rs):
+    rs = get_rs(label, rank)
+    group = enumerate_group(rs)
+    assert [w.perm for w in group] == _enumerate_group_oracle(rs)
+    lengths = [w.length for w in group]
+    assert lengths == sorted(lengths)
+
+
+@pytest.mark.parametrize("label,rank", SMALL_TYPES + [("E", 7), ("E", 8)])
+def test_height_steps_climb_every_positive_root(label, rank, get_rs):
+    rs = get_rs(label, rank)
+    assert rs.neg == tuple(reversed(range(rs.nroots)))
+    steps = rs.height_steps
+    assert [k for k, _, _ in steps] == [
+        k for k in rs.positive_indices() if k not in rs.simple_index]
+    for k, parent, i in steps:
+        assert rs.is_positive(parent) and parent < k
+        assert rs.roots[k] == tuple(c + (j == i)
+                                    for j, c in enumerate(rs.roots[parent]))
+
+
+@pytest.mark.parametrize("label,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4),
+                          ("G", 2)])
+def test_pairing_vector_matches_the_dot_product(label, rank, get_rs):
+    rs = get_rs(label, rank)
+    for w in enumerate_group(rs):
+        s = w.coroot_sum
+        assert weyl._pairing_vector(w) == [sum(map(mul, rs._psc[a], s))
+                                           for a in range(rs.nroots)]
+
+
+def test_first_difference_memo_follows_the_element(get_rs):
+    """Interleaved calls give the answers of calls in sweep order, also on
+    a non-group permutation where some answers are False."""
+    rs = get_rs("B", 3)
+    a, b = rs.simple_index[0], rs.highest_root
+    perm = list(range(rs.nroots))
+    perm[a], perm[b] = b, a
+    bad = weyl.WeylElement(rs, tuple(perm))
+    elements = [from_word(rs, (1, 2, 3, 2)), bad, longest_element(rs),
+                from_word(rs, (1, 2, 3, 2))]
+    in_order = [[check_first_difference(w, k) for k in range(rs.nroots)]
+                for w in elements]
+    assert not all(in_order[1]) and all(in_order[0] + in_order[2])
+    interleaved = [[None] * rs.nroots for _ in elements]
+    for k in reversed(range(rs.nroots)):
+        for n, w in enumerate(elements):
+            interleaved[n][k] = check_first_difference(w, k)
+    assert interleaved == in_order
