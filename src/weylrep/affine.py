@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from . import intmat
 from .rootsys import RootSystem
@@ -37,6 +38,7 @@ __all__ = [
     "minuscule_nodes",
     "OmegaElement",
     "omega_group",
+    "affine_nodes",
     "diagram_permutation",
     "SigmaRSDatum",
     "sigma_rs",
@@ -178,10 +180,7 @@ def all_lattices(rs: RootSystem) -> tuple[CocharLattice, ...]:
     elif lbl == "E" and n in (6, 7):
         out.append(adjoint_lattice(rs))
     # E8, F4, G2: coweight lattice equals coroot lattice already
-    seen = {}
-    for lat in out:
-        seen.setdefault(tuple(map(tuple, _hermite_rows(lat.basis))), lat)
-    return tuple(seen.values())
+    return tuple(out)
 
 
 def lattice_contains(lat: CocharLattice, vec) -> bool:
@@ -223,14 +222,16 @@ def _perm_order(perm) -> int:
     return n
 
 
-def _affine_gradients(rs: RootSystem) -> tuple[int, ...]:
-    """Root indices of (-theta, alpha_1, ..., alpha_rank)."""
-    return (rs.neg[rs.highest_root],) + rs.simple_index
+def affine_nodes(rs: RootSystem) -> tuple[tuple[int, int], ...]:
+    """(mark, gradient root index) of the affine nodes 0..rank: the terms
+    of the relation 1 * (-theta) + sum_i m_i * alpha_i = 0."""
+    grads = (rs.neg[rs.highest_root],) + rs.simple_index
+    return tuple(zip((1,) + marks(rs), grads))
 
 
 def diagram_permutation(rs: RootSystem, w: WeylElement) -> tuple[int, ...] | None:
     """Permutation of affine nodes induced by w, or None if w moves them out."""
-    grads = _affine_gradients(rs)
+    grads = [g for _, g in affine_nodes(rs)]
     pos = {g: i for i, g in enumerate(grads)}
     perm = []
     for g in grads:
@@ -265,14 +266,13 @@ def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
                          tuple(range(rs.rank + 1)))
     out = [ident]
     cw = fundamental_coweights(rs)
-    mk = marks(rs)
     w0 = longest_element(rs)
     for node in minuscule_nodes(rs):
         rep = cw[node - 1]
         if not lattice_contains(lat, rep):
             continue
         sigma, perm = _sigma_for_node(rs, node, w0)
-        _verify_omega(rs, node, rep, sigma, perm, mk)
+        _verify_omega(rs, node, sigma, perm)
         out.append(OmegaElement(node, tuple(rep), sigma, perm))
     if len(out) != lat.index_in_coroot:
         raise AssertionError(
@@ -281,17 +281,17 @@ def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
     return tuple(out)
 
 
-def _verify_omega(rs, node, rep, sigma, perm, mk) -> None:
+def _verify_omega(rs, node, sigma, perm) -> None:
     if perm is None:
         raise AssertionError("projection does not permute the affine gradients")
-    affine_marks = (1,) + tuple(mk)
+    affine_marks = [m for m, _ in affine_nodes(rs)]
     for j in range(rs.rank + 1):
         if affine_marks[perm[j]] != affine_marks[j]:
             raise AssertionError("marks not preserved by the diagram permutation")
     # alcove stabilization: translation part pairs to 0 on every simple
     # image, to 1 on the highest root (both reduce to perm[0] == node for
     # a fundamental coweight, and to mark 1 at the node)
-    if perm[0] != node or mk[node - 1] != 1:
+    if perm[0] != node or affine_marks[node] != 1:
         raise AssertionError("class representative does not stabilize the alcove")
     orbit = {0}
     j = perm[0]
@@ -406,8 +406,7 @@ def check_second_difference(datum: SigmaRSDatum, a: int) -> bool:
     fa, fb, fc = datum.fiber_sizes
     if fa != fc or fa + fb + fc != rs.coxeter_number:
         return False
-    row = rs.pairing[a]
-    fw = sum(row[b] for b in datum.parts[2])
+    fw = sum(map(mul, rs._psc[a], rs.coroot_sum(datum.parts[2])))
     w = datum.w
     wa = w.perm[a]
     w2a = w.perm[wa]

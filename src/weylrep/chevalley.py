@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .affine import affine_nodes
 from .rootsys import RootSystem, root_string
 from .weyl import WeylElement
 
@@ -387,12 +388,8 @@ def dependence_relation(rs: RootSystem, terms) -> DependenceRelation:
 
 
 def highest_root_relation(rs: RootSystem) -> DependenceRelation:
-    """(1, -theta) plus the marks on the simple roots."""
-    terms = [(1, rs.neg[rs.highest_root])]
-    theta = rs.roots[rs.highest_root]
-    for i in range(rs.rank):
-        terms.append((theta[i], rs.simple_index[i]))
-    return dependence_relation(rs, terms)
+    """(1, -theta) plus the marks on the simple roots: the affine nodes."""
+    return dependence_relation(rs, affine_nodes(rs))
 
 
 def fixes_relation(w: WeylElement, rel: DependenceRelation) -> bool:

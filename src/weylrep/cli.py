@@ -111,12 +111,16 @@ def _sweep_second_difference(ctx, cfg, rng):
     rs = ctx.rs
     count = 0
     for om in _eligible_omegas(ctx, 2):
-        if not affine.check_flip_sum_even(rs, om.sigma):
+        try:  # both assert the R/S structure they derive
+            if not affine.check_flip_sum_even(rs, om.sigma):
+                return "exhaustive", count, {"class_node": om.class_node,
+                                             "failure": "parity"}
+            datum = affine.sigma_rs(rs, om.sigma) if om.order() >= 3 else None
+        except AssertionError as exc:
             return "exhaustive", count, {"class_node": om.class_node,
-                                         "failure": "parity"}
+                                         "failure": str(exc)}
         count += 1
-        if om.order() >= 3:
-            datum = affine.sigma_rs(rs, om.sigma)
+        if datum is not None:
             for a in range(rs.nroots):
                 count += 1
                 if not affine.check_second_difference(datum, a):

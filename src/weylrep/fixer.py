@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import intmat
-from .affine import CocharLattice, OmegaElement, adjoint_lattice
+from .affine import CocharLattice, OmegaElement, adjoint_lattice, affine_nodes
 from .chevalley import ScalarTable, c_word
 from .rootsys import RootSystem
 
@@ -91,14 +91,13 @@ def build_system(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
     perm = omega.diagram_perm
     sigma = omega.sigma
     n = units.order
-    grads = (rs.neg[rs.highest_root],) + rs.simple_index
+    nodes = affine_nodes(rs)
     targets = []
-    for i in range(rs.rank + 1):
-        c = c_word(scalars, sigma, grads[i])
+    for i, (_, grad) in enumerate(nodes):
+        c = c_word(scalars, sigma, grad)
         t = (-lam.values[i] + lam.values[perm[i]] + units.sign_log(c)) % n
         targets.append(t)
-    mk = (1,) + tuple(rs.roots[rs.highest_root])
-    weighted = sum(m * t for m, t in zip(mk, targets)) % n
+    weighted = sum(m * t for (m, _), t in zip(nodes, targets)) % n
     if weighted != 0:
         raise InconsistentSystemError(
             f"weighted row product is {weighted} (mod {n}), not 0: "

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .intmat import mat_det
 
@@ -154,11 +154,13 @@ def cartan_datum(type_label: str, rank: int) -> CartanDatum:
 
 
 class RootSystem:
-    """An irreducible root system with all derived tables precomputed.
+    """An irreducible root system and the tables derived from it.
 
     Immutable after construction.  Roots are indexed into a single list
     sorted by (height, lexicographic coefficients), so negative roots
-    occupy the first half and positive roots the second half.
+    occupy the first half and positive roots the second half.  Most
+    tables are built with the system; ``coset_chain``, ``height_steps``
+    and the full ``pairing`` table are built on first use.
     """
 
     def __init__(self, datum: CartanDatum):
@@ -214,24 +216,15 @@ class RootSystem:
         self.coroot_masks = tuple(sum((c & 1) << i for i, c in enumerate(co))
                                   for co in coroots)
 
-        # full pairing table <root_a, root_b^vee>
-        self.pairing = tuple(
-            tuple(sum(self.coroots[b][i] * psc[a][i] for i in range(self.rank))
-                  for b in range(self.nroots))
-            for a in range(self.nroots))
-
         hi = max(range(self.nroots), key=lambda k: (self.heights[k], self.roots[k]))
         self.highest_root = hi
         self.coxeter_number = self.heights[hi] + 1
         if self.nroots != self.rank * self.coxeter_number:
             raise CartanError("root count disagrees with Coxeter number")
 
-        self.rho_check_twice = tuple(
-            sum(self.coroots[k][i] for k in self.positive_indices())
-            for i in range(self.rank))
+        self.rho_check_twice = self.coroot_sum(self.positive_indices())
         for k in range(self.nroots):
-            if sum(self.rho_check_twice[i] * psc[k][i] for i in range(self.rank)) \
-                    != 2 * self.heights[k]:
+            if sum(map(mul, psc[k], self.rho_check_twice)) != 2 * self.heights[k]:
                 raise CartanError("height/rho-check identity failed")
 
         self.simple_index = tuple(
@@ -250,6 +243,23 @@ class RootSystem:
         self.simple_perms = tuple(perms)
         # simple_getters[i](perm) is perm composed with s_i on the right
         self.simple_getters = tuple(itemgetter(*p) for p in perms)
+
+    def coroot_sum(self, roots) -> tuple[int, ...]:
+        """sum_{b in roots} b^vee in simple-coroot coordinates.
+
+        Every coroot-sum functional sum_{b in B} <root_a, b^vee> is taken
+        as <root_a, coroot_sum(B)>, the dot product with ``_psc[a]``.
+        """
+        co = self.coroots
+        rows = [co[b] for b in roots]
+        return tuple(map(sum, zip((0,) * self.rank, *rows)))
+
+    @cached_property
+    def pairing(self) -> tuple[tuple[int, ...], ...]:
+        """``pairing[a][b]`` = <root_a, root_b^vee>, built on first use for
+        ``rootsys_to_json``; the checks pair through ``coroot_sum``."""
+        co = self.coroots
+        return tuple(tuple(sum(map(mul, p, c)) for c in co) for p in self._psc)
 
     @cached_property
     def coset_chain(self) -> tuple[tuple[itemgetter, ...], ...]:

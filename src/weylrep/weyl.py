@@ -158,9 +158,7 @@ class WeylElement:
         Computed on each access and not kept: an exhaustive sweep reads it
         once per element.
         """
-        co = self.rs.coroots
-        rows = [co[b] for b in inversion_set(self)]
-        return tuple(map(sum, zip((0,) * self.rs.rank, *rows)))
+        return self.rs.coroot_sum(inversion_set(self))
 
     def order(self) -> int:
         n = 1
@@ -230,8 +228,8 @@ def flip_set(u: WeylElement, v: WeylElement) -> frozenset[int]:
 
 def flip_functional(u: WeylElement, v: WeylElement, a: int) -> int:
     """Sum of <root_a, b^vee> over b in flip_set(u, v)."""
-    row = u.rs.pairing[a]
-    return sum(row[b] for b in flip_set(u, v))
+    rs = u.rs
+    return sum(map(mul, rs._psc[a], rs.coroot_sum(flip_set(u, v))))
 
 
 def _pairing_vector(w: WeylElement) -> list[int]:
@@ -255,8 +253,9 @@ def _pairing_vector(w: WeylElement) -> list[int]:
     return vec
 
 
-# the last element checked and its pairing vector
-_last_pairing = [None, None]
+# the permutation and heights of the last element checked, and its pairing
+# vector; neither key refers to the RootSystem, so the memo keeps none alive
+_last_pairing = [None, None, None]
 
 
 def check_first_difference(w: WeylElement, a: int) -> bool:
@@ -270,11 +269,13 @@ def check_first_difference(w: WeylElement, a: int) -> bool:
     only heights and ``w.perm``, so the two sides still come from
     independent routes.
     """
-    memo = _last_pairing
-    if memo[0] is not w:
-        memo[:] = w, _pairing_vector(w)
+    perm = w.perm
     heights = w.rs.heights
-    return memo[1][a] == heights[a] - heights[w.perm[a]]
+    last_perm, last_heights, vec = _last_pairing
+    if last_perm is not perm or last_heights is not heights:
+        vec = _pairing_vector(w)
+        _last_pairing[:] = perm, heights, vec
+    return vec[a] == heights[a] - heights[perm[a]]
 
 
 def check_flip_symmetry(w: WeylElement) -> bool:

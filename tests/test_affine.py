@@ -40,6 +40,32 @@ def test_lattice_validation(get_rs):
     assert [lat.index_in_coroot for lat in all_lattices(rs)] == [1, 2, 4]
 
 
+# the center P^vee / Q^vee of each type, as its number of subgroups
+def _subgroup_count(label, rank):
+    if label == "A":
+        return sum(1 for m in range(1, rank + 2) if (rank + 1) % m == 0)
+    if label == "D":
+        return 5 if rank % 2 == 0 else 3
+    return {"B": 2, "C": 2, "E": {6: 2, 7: 2, 8: 1}.get(rank), "F": 1,
+            "G": 1}[label]
+
+
+@pytest.mark.parametrize("label,rank",
+                         [("A", r) for r in range(1, 13)] +
+                         [("B", r) for r in range(2, 10)] +
+                         [("C", r) for r in range(2, 10)] +
+                         [("D", r) for r in range(3, 13)] +
+                         [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+def test_all_lattices_are_pairwise_distinct(label, rank, get_rs):
+    """One lattice per subgroup of P^vee / Q^vee, no two with the same
+    Hermite form, so none is listed twice."""
+    rs = get_rs(label, rank)
+    lats = all_lattices(rs)
+    assert len(lats) == _subgroup_count(label, rank)
+    forms = {tuple(map(tuple, affine._hermite_rows(lat.basis))) for lat in lats}
+    assert len(forms) == len(lats)
+
+
 def test_lattice_indices_divide_connection_index(get_rs):
     for label, rank, full in (("A", 5, 6), ("D", 4, 4), ("D", 6, 4),
                               ("E", 6, 3), ("B", 3, 2), ("G", 2, 1)):
@@ -187,6 +213,33 @@ def test_second_difference_d5_e6_all_roots(get_rs):
         assert datum.fiber_sizes == sizes
         for a in range(rs.nroots):
             assert check_second_difference(datum, a)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 5), ("A", 7), ("D", 5),
+                                        ("D", 7), ("E", 6)])
+def test_second_difference_matches_the_table_oracle(label, rank, get_rs):
+    """F_w(a), the coroot sum over the (1,0) part paired with a, equals the
+    table row sum there, and the identity holds with the table's value."""
+    rs = get_rs(label, rank)
+    h = rs.coxeter_number
+    found = 0
+    for om in omega_group(rs, adjoint_lattice(rs)):
+        if om.order() < 3:
+            continue
+        found += 1
+        datum = sigma_rs(rs, om.sigma)
+        part = datum.parts[2]
+        s = rs.coroot_sum(part)
+        w, c = om.sigma, datum.fiber_sizes[2]
+        for a in range(rs.nroots):
+            fw = sum(rs.pairing[a][b] for b in part)
+            assert sum(x * y for x, y in zip(rs._psc[a], s)) == fw
+            assert fw == weyl.flip_functional(w, w, a)
+            wa, w2a = w.perm[a], w.perm[w.perm[a]]
+            assert h * fw == c * (rs.heights[a] - 2 * rs.heights[wa]
+                                  + rs.heights[w2a])
+            assert check_second_difference(datum, a)
+    assert found >= 1
 
 
 def test_second_difference_at_r_gives_even_value(get_rs):

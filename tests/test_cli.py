@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,16 @@ from weylrep.cli import (
     run_sweep,
     validate_report,
 )
-from weylrep.rootsys import root_system
+from weylrep.rootsys import RootSystem, root_system
+
+
+@pytest.fixture
+def no_pairing_table(monkeypatch):
+    """Reading ``RootSystem.pairing`` raises: no check may need the table."""
+    def forbidden(rs):
+        raise RuntimeError("a check read the pairing table")
+
+    monkeypatch.setattr(RootSystem, "pairing", property(forbidden))
 
 
 def test_default_sweep_passes_quickly():
@@ -197,6 +207,7 @@ def test_default_config_is_json_round_trippable():
     assert json.loads(json.dumps(DEFAULT_CONFIG)) == DEFAULT_CONFIG
 
 
+@pytest.mark.usefixtures("no_pairing_table")
 def test_golden_default_report(tmp_path):
     """The default sweep's JSON report is pinned byte for byte."""
     out = tmp_path / "report.json"
@@ -213,6 +224,7 @@ def test_golden_default_report(tmp_path):
     ("golden_cocycle_b2_dump.json", ["cocycle", "--type", "B", "--rank", "2",
                                      "--dump"]),
 ])
+@pytest.mark.usefixtures("no_pairing_table")
 def test_golden_reports(tmp_path, golden, argv):
     """A D5+E6 all-checks sweep, the cocycle and fixer presets, and the B2
     cocycle table dump, byte for byte."""
@@ -428,6 +440,93 @@ def test_planted_fault_gives_the_recorded_entry(monkeypatch, module, name, nth,
     if entry["name"] == "fixer":  # the drawn functional is the check's own
         assert len(got["counterexample"].pop("lambda")) == 4
     assert got == entry
+
+
+def test_second_difference_assertion_is_a_witness(monkeypatch, tmp_path):
+    """An R/S assertion inside the second-difference check fails its entry,
+    as it does for fibers, and the sweep still writes its report."""
+    _plant(monkeypatch, affine, "sigma_rs", 2,
+           AssertionError("planted fiber fault"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"systems": [{"type": "A", "rank": 3}]}))
+    out = tmp_path / "report.json"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    validate_report(report)
+    (entry,) = [c for c in report["checks"] if c["name"] == "second_difference"]
+    assert entry == {"name": "second_difference", "system": "A3",
+                     "mode": "exhaustive", "count": 0, "passed": False,
+                     "counterexample": {"class_node": 1,
+                                        "failure": "planted fiber fault"}}
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == \
+        ["second_difference"]
+
+
+@pytest.mark.usefixtures("no_pairing_table")
+def test_affine_checks_read_no_pairing_table():
+    cfg = _one_check_config(["A5", "D7", "E6"], second_difference=True,
+                            fibers=True, characters=True, fixer=True)
+    report = run_sweep(cfg)
+    assert report["status"] == "pass"
+    assert len(report["checks"]) == 12
+
+
+def _replay_second_difference(system, class_node):
+    """The second-difference witness for one alcove-stabilizer class."""
+    ctx = cli.SystemContext(system)
+    ctx.omegas = tuple(om for om in ctx.omegas if om.class_node == class_node)
+    assert len(ctx.omegas) == 1
+    return cli._sweep_second_difference(ctx, None, None)[2]
+
+
+@pytest.mark.parametrize("system", ["A3", "D5"])
+def test_coroot_sum_route_is_load_bearing(monkeypatch, system):
+    """A fault in ``RootSystem.coroot_sum`` that spares the full positive
+    set, so the rho-check self-test at build time still passes, fails both
+    height-difference checks with witnesses that replay."""
+    real = RootSystem.coroot_sum
+
+    def shifted(rs, roots):
+        roots = list(roots)
+        s = real(rs, roots)
+        if sorted(roots) == list(rs.positive_indices()):
+            return s
+        return (s[0] + 1,) + s[1:]
+
+    monkeypatch.setattr(RootSystem, "coroot_sum", shifted)
+    report = run_sweep(_one_check_config([system], first_difference=True,
+                                         second_difference=True))
+    first, second = report["checks"]
+    assert not first["passed"] and not second["passed"]
+    sysdef = {"type": system[0], "rank": int(system[1:])}
+    word, root = first["counterexample"]["word"], first["counterexample"]["root"]
+    node = second["counterexample"]["class_node"]
+
+    def replay():
+        rs = root_system(sysdef["type"], sysdef["rank"])
+        w = weyl.from_word(rs, word)
+        return (weyl.check_first_difference(w, rs.index[tuple(root)]),
+                _replay_second_difference(sysdef, node))
+
+    assert replay() == (False, second["counterexample"])
+    monkeypatch.undo()
+    assert replay() == (True, None)
+
+
+def test_first_difference_memo_keeps_no_root_system_alive(monkeypatch):
+    built = []
+
+    def tracked(label, rank):
+        rs = root_system(label, rank)
+        built.append(weakref.ref(rs))
+        return rs
+
+    monkeypatch.setattr(cli, "root_system", tracked)
+    report = run_sweep(_one_check_config(["D5"], first_difference=True))
+    assert report["status"] == "pass"
+    gc.collect()
+    assert len(built) == 1
+    assert [ref() for ref in built] == [None]
 
 
 def test_fixer_witness_does_not_depend_on_other_checks(monkeypatch):

@@ -204,3 +204,25 @@ def test_json_is_serializable(get_rs):
     json.dumps(doc)  # no exotic types
     assert doc["coxeter_number"] == 12
     assert len(doc["roots"]) == 72
+
+
+@pytest.mark.parametrize("label,rank", [("D", 6), ("E", 7), ("E", 8)])
+def test_pairing_table_is_built_on_first_use(label, rank):
+    rs = root_system(label, rank)
+    assert "pairing" not in rs.__dict__
+    assert rootsys_to_json(rs)["pairing"][rs.highest_root][rs.highest_root] == 2
+    assert "pairing" in rs.__dict__
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_coroot_sum_matches_the_table_rows(label, rank, get_rs):
+    """<a, coroot_sum(B)> is the sum of the table entries <a, b^vee> over B."""
+    rs = get_rs(label, rank)
+    sets = [(), tuple(rs.positive_indices()), tuple(range(rs.nroots)),
+            (rs.highest_root, rs.neg[rs.highest_root], rs.simple_index[0])]
+    for roots in sets:
+        s = rs.coroot_sum(roots)
+        for a in range(rs.nroots):
+            assert sum(x * y for x, y in zip(rs._psc[a], s)) == \
+                sum(rs.pairing[a][b] for b in roots)
+    assert rs.coroot_sum(rs.positive_indices()) == rs.rho_check_twice

@@ -137,6 +137,19 @@ def test_flip_functional_against_form_oracle(get_rs):
         assert flip_functional(u, v, a) == acc
 
 
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_flip_functional_matches_the_table_oracle(label, rank, get_rs):
+    """Every (u, v, a): the coroot-sum route equals the table row sum."""
+    rs = get_rs(label, rank)
+    group = enumerate_group(rs)
+    for u in group:
+        for v in group:
+            flips = flip_set(u, v)
+            for a in range(rs.nroots):
+                row = rs.pairing[a]
+                assert flip_functional(u, v, a) == sum(row[b] for b in flips)
+
+
 def test_flip_functional_d5_generator_value(get_rs):
     rs = get_rs("D", 5)
     from weylrep import affine
