@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -33,11 +34,11 @@ __all__ = [
     "half_spin_lattice",
     "type_a_quotient_lattice",
     "all_lattices",
-    "fundamental_coweights",
     "marks",
     "minuscule_nodes",
     "OmegaElement",
     "omega_group",
+    "lattice_classes",
     "affine_nodes",
     "diagram_permutation",
     "SigmaRSDatum",
@@ -55,13 +56,21 @@ __all__ = [
 class CocharLattice:
     """A lattice between Q^vee and P^vee, by a basis in simple-coroot coords.
 
-    ``pairing[i][k]`` is the integer <alpha_i, basis_k>.
+    ``pairing[i][k]`` is the integer <alpha_i, basis_k>.  The lattice is
+    factored once: ``basis_inv`` is kept from construction, and
+    ``pairing_snf`` is built on first use.
     """
 
     name: str
     basis: tuple[tuple[Fraction, ...], ...]
+    basis_inv: tuple[tuple[Fraction, ...], ...]  # rows: simple coroots in this basis
     index_in_coroot: int  # order of (this lattice) / Q^vee
     pairing: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def pairing_snf(self):
+        """``intmat.smith_normal_form(pairing)``, for every solve on this lattice."""
+        return intmat.smith_normal_form(self.pairing)
 
 
 def _make_lattice(rs: RootSystem, name: str, rows) -> CocharLattice:
@@ -72,7 +81,7 @@ def _make_lattice(rs: RootSystem, name: str, rows) -> CocharLattice:
     index = Fraction(1) / abs(det)
     if index.denominator != 1:
         raise ValueError("basis does not contain the coroot lattice with finite index")
-    binv = intmat.mat_inv([list(r) for r in basis])
+    binv = tuple(map(tuple, intmat.mat_inv(basis)))
     for row in binv:  # Q^vee inside: e_i in integer span of basis
         for x in row:
             if Fraction(x).denominator != 1:
@@ -85,14 +94,8 @@ def _make_lattice(rs: RootSystem, name: str, rows) -> CocharLattice:
         for x in row:
             if x.denominator != 1:
                 raise ValueError(f"{name}: not contained in the coweight lattice")
-    return CocharLattice(name, basis, int(index),
+    return CocharLattice(name, basis, binv, int(index),
                          tuple(tuple(int(x) for x in row) for row in pairing))
-
-
-def fundamental_coweights(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows are the fundamental coweights in simple-coroot coordinates."""
-    inv = intmat.mat_inv([list(row) for row in rs.datum.cartan_matrix])
-    return tuple(tuple(row) for row in inv)
 
 
 def marks(rs: RootSystem) -> tuple[int, ...]:
@@ -111,7 +114,7 @@ def simply_connected_lattice(rs: RootSystem) -> CocharLattice:
 
 
 def adjoint_lattice(rs: RootSystem) -> CocharLattice:
-    return _make_lattice(rs, "adjoint", fundamental_coweights(rs))
+    return _make_lattice(rs, "adjoint", rs.fundamental_coweights)
 
 
 def _span_with(rs: RootSystem, name: str, extra_rows) -> CocharLattice:
@@ -132,7 +135,7 @@ def vector_lattice(rs: RootSystem) -> CocharLattice:
     """Type D: coroot lattice extended by the first fundamental coweight."""
     if rs.datum.type_label != "D":
         raise ValueError("vector lattice only defined for type D")
-    cw = fundamental_coweights(rs)
+    cw = rs.fundamental_coweights
     return _span_with(rs, "SO", [cw[0]])
 
 
@@ -142,7 +145,7 @@ def half_spin_lattice(rs: RootSystem, node: int) -> CocharLattice:
         raise ValueError("half-spin lattices require type D of even rank")
     if node not in (rs.rank - 1, rs.rank):
         raise ValueError("spin node must be rank-1 or rank")
-    cw = fundamental_coweights(rs)
+    cw = rs.fundamental_coweights
     return _span_with(rs, f"half-spin-{node}", [cw[node - 1]])
 
 
@@ -153,7 +156,7 @@ def type_a_quotient_lattice(rs: RootSystem, m: int) -> CocharLattice:
     n = rs.rank + 1
     if n % m != 0:
         raise ValueError(f"{m} does not divide {n}")
-    cw = fundamental_coweights(rs)
+    cw = rs.fundamental_coweights
     gen = [x * (n // m) for x in cw[0]]
     return _span_with(rs, f"SL{n}/mu{m}", [gen])
 
@@ -185,7 +188,7 @@ def all_lattices(rs: RootSystem) -> tuple[CocharLattice, ...]:
 
 def lattice_contains(lat: CocharLattice, vec) -> bool:
     """Membership of a rational coweight (simple-coroot coords)."""
-    binv = intmat.mat_inv([list(r) for r in lat.basis])
+    binv = lat.basis_inv
     coords = [sum(Fraction(vec[j]) * binv[j][k] for j in range(len(vec)))
               for k in range(len(vec))]
     return all(c.denominator == 1 for c in coords)
@@ -265,7 +268,7 @@ def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
     ident = OmegaElement(None, zero, weyl_identity(rs),
                          tuple(range(rs.rank + 1)))
     out = [ident]
-    cw = fundamental_coweights(rs)
+    cw = rs.fundamental_coweights
     w0 = longest_element(rs)
     for node in minuscule_nodes(rs):
         rep = cw[node - 1]
@@ -274,11 +277,24 @@ def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
         sigma, perm = _sigma_for_node(rs, node, w0)
         _verify_omega(rs, node, sigma, perm)
         out.append(OmegaElement(node, tuple(rep), sigma, perm))
-    if len(out) != lat.index_in_coroot:
+    return _counted(lat, out)
+
+
+def lattice_classes(lat: CocharLattice,
+                    group: tuple[OmegaElement, ...]) -> tuple[OmegaElement, ...]:
+    """The classes of ``group``, the adjoint lattice's ``omega_group``,
+    that lie in ``lat``: ``omega_group`` of ``lat``, in the same order,
+    without building and verifying the projections again."""
+    return _counted(lat, [om for om in group
+                          if lattice_contains(lat, om.class_rep)])
+
+
+def _counted(lat: CocharLattice, classes) -> tuple[OmegaElement, ...]:
+    if len(classes) != lat.index_in_coroot:
         raise AssertionError(
-            f"{lat.name}: found {len(out)} classes, lattice index is "
+            f"{lat.name}: found {len(classes)} classes, lattice index is "
             f"{lat.index_in_coroot}")
-    return tuple(out)
+    return tuple(classes)
 
 
 def _verify_omega(rs, node, sigma, perm) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .affine import affine_nodes
 from .rootsys import RootSystem, root_string
@@ -133,17 +134,39 @@ def constants_from_special_pairs(rs: RootSystem, assigned,
 
 
 def _validate_strings(table: StructureConstantTable) -> None:
+    """|N_{a,b}| = q + 1 for every pair, q from the root string through b.
+
+    Each zero-sum triple {a, b, c} and its negation have one pair of
+    positive roots a < b.  Its root string gives the magnitudes of all
+    twelve entries by the norm-ratio rule, and their signs must follow
+    N_{a,b} by that rule, antisymmetry and negation.
+    """
     rs = table.rs
-    for (a, b), val in table.n.items():
+    n, neg, roots = table.n, rs.neg, rs.roots
+    scale = lcm(*(x.denominator for x in rs.norms2))  # integral squared lengths
+    norms = [int(x * scale) for x in rs.norms2]
+    for a, b in n:
+        if not rs.npos <= a < b:
+            continue
+        c = neg[rs.index[tuple(x + y for x, y in zip(roots[a], roots[b]))]]
         _, q = root_string(rs, a, b)
-        if abs(val) != q + 1:
-            raise AssertionError(
-                f"|N| for pair ({rs.root_name(a)}, {rs.root_name(b)}) is "
-                f"{abs(val)}, expected {q + 1}")
-        if table.n[(b, a)] != -val:
-            raise AssertionError("antisymmetry violated")
-        if table.n.get((rs.neg[a], rs.neg[b])) != -val:
-            raise AssertionError("negation rule violated")
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            mag, rem = divmod((q + 1) * norms[z], norms[c])
+            if rem:
+                raise AssertionError("non-integral |N| by the norm-ratio rule")
+            val = mag if n[(a, b)] > 0 else -mag
+            for pair, want in (((x, y), val), ((y, x), -val),
+                               ((neg[x], neg[y]), -val), ((neg[y], neg[x]), val)):
+                got = n.get(pair, 0)
+                if abs(got) != mag:
+                    raise AssertionError(
+                        f"|N| for pair ({rs.root_name(pair[0])}, "
+                        f"{rs.root_name(pair[1])}) is {abs(got)}, expected {mag}")
+                if got != want:
+                    raise AssertionError(
+                        f"sign of N for pair ({rs.root_name(pair[0])}, "
+                        f"{rs.root_name(pair[1])}) breaks the norm-ratio, "
+                        f"antisymmetry or negation rule")
 
 
 def validate_jacobi(table: StructureConstantTable):

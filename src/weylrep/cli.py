@@ -199,9 +199,7 @@ def _sweep_fixer(ctx, cfg, rng):
     rs = ctx.rs
     count = 0
     for lat in ctx.lattices:
-        # ctx.omegas is the group of P^vee, the one lattice of full index
-        for om in (ctx.omegas if lat.index_in_coroot == len(ctx.omegas)
-                   else affine.omega_group(rs, lat)):
+        for om in affine.lattice_classes(lat, ctx.omegas):
             for q in cfg["qs"]:
                 units = fixer.UnitGroup(q - 1)
                 for _ in range(cfg["lambda_samples"]):

@@ -108,14 +108,16 @@ def build_system(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
 def solve(system: FixerSystem):
     """A witness t (coordinates in the lattice basis, mod N), or None.
 
-    Solves rows 1..rank as an integer-linear system mod N; the witness
-    is then checked against every row including the redundant zeroth.
+    Solves rows 1..rank as an integer-linear system mod N with the
+    lattice's held Smith form; the witness is then checked against every
+    row including the redundant zeroth.
     """
     rs = system.rs
     n = system.units.order
-    m = system.lattice.pairing
+    lat = system.lattice
+    m = lat.pairing
     b = list(system.targets[1:])
-    x = intmat.solve_mod(m, b, n)
+    x = intmat.solve_mod(m, lat.pairing_snf, b, n)
     if x is None:
         return None
     theta = rs.roots[rs.highest_root]
@@ -150,8 +152,7 @@ def connecting_character(rs: RootSystem, small: CocharLattice,
     rank = rs.rank
     bb = [list(row) for row in big.basis]
     bs = [list(row) for row in small.basis]
-    bb_inv = intmat.mat_inv(bb)
-    c = intmat.mat_mul(bs, bb_inv)
+    c = intmat.mat_mul(bs, big.basis_inv)
     for row in c:
         for x in row:
             if Fraction(x).denominator != 1:

@@ -1,7 +1,11 @@
 """Small exact linear algebra: integer normal forms and rational inverses.
 
 Everything here operates on lists of lists; matrices are tiny (rank of a
-root system), so clarity beats asymptotics.
+root system), so clarity beats asymptotics.  Callers that solve many
+systems with one matrix factor it once: ``solve_mod`` takes a Smith form
+from ``smith_normal_form`` (a cocharacter lattice holds the one of its
+pairing matrix), and still checks every solution it returns against the
+original matrix.
 """
 
 from __future__ import annotations
@@ -105,14 +109,15 @@ def smith_normal_form(m):
     return d, u, v
 
 
-def solve_mod(m, b, n: int):
+def solve_mod(m, snf, b, n: int):
     """A solution x of m x = b (mod n), or None.
 
-    Uses u m v = d: solve d y = u b coordinatewise, then x = v y.
+    ``snf`` is ``smith_normal_form(m)``, (d, u, v) with u m v = d: solve
+    d y = u b coordinatewise, then x = v y, and check m x = b (mod n).
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    d, u, v = smith_normal_form(m)
+    d, u, v = snf
     ub = [sum(u[i][j] * b[j] for j in range(rows)) % n for i in range(rows)]
     y = [0] * cols
     for i in range(rows):

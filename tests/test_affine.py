@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylrep import affine, weyl
+from weylrep import affine, intmat, weyl
 from weylrep.affine import (
     adjoint_lattice,
     all_lattices,
@@ -11,6 +11,7 @@ from weylrep.affine import (
     diagram_permutation,
     flip_sum_at_r,
     half_spin_lattice,
+    lattice_classes,
     marks,
     minuscule_nodes,
     omega_group,
@@ -72,6 +73,34 @@ def test_lattice_indices_divide_connection_index(get_rs):
         rs = get_rs(label, rank)
         for lat in all_lattices(rs):
             assert full % lat.index_in_coroot == 0
+
+
+LATTICE_TYPES = [("A", 5), ("A", 7), ("B", 4), ("C", 4), ("D", 4), ("D", 6),
+                 ("D", 7), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("label, rank", LATTICE_TYPES)
+def test_lattice_classes_are_the_lattice_omega_group(label, rank, get_rs):
+    """Filtering the adjoint group by containment lists the same classes,
+    in the same order, as omega_group on each lattice."""
+    rs = get_rs(label, rank)
+    group = omega_group(rs, adjoint_lattice(rs))
+    for lat in all_lattices(rs):
+        assert lattice_classes(lat, group) == omega_group(rs, lat)
+        if lat.index_in_coroot > 1:
+            with pytest.raises(AssertionError, match="found 1 classes"):
+                lattice_classes(lat, group[:1])
+
+
+@pytest.mark.parametrize("label, rank", LATTICE_TYPES)
+def test_lattices_hold_their_inverse_basis(label, rank, get_rs):
+    rs = get_rs(label, rank)
+    eye = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for lat in all_lattices(rs):
+        assert intmat.mat_mul(lat.basis, lat.basis_inv) == eye
+    cw = rs.fundamental_coweights
+    assert cw is rs.fundamental_coweights
+    assert intmat.mat_mul(cw, rs.datum.cartan_matrix) == eye
 
 
 def test_minuscule_nodes(get_rs):
@@ -341,7 +370,7 @@ def test_class_representatives_live_in_their_lattice(get_rs):
             if om.class_node is not None:
                 assert affine.lattice_contains(lat, om.class_rep)
                 assert om.class_rep == \
-                    affine.fundamental_coweights(rs)[om.class_node - 1]
+                    rs.fundamental_coweights[om.class_node - 1]
             else:
                 assert om.class_rep == (Fraction(0),) * rs.rank
 

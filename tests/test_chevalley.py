@@ -6,6 +6,8 @@ import pytest
 
 from weylrep import affine, weyl
 from weylrep.chevalley import (
+    StructureConstantTable,
+    _validate_strings,
     ad_word_sign,
     build_constants,
     c_word,
@@ -130,6 +132,31 @@ def test_corrupted_table_fails_jacobi(get_rs):
     doc["constants"][0][2] *= 3  # corrupt one constant
     bad = table_from_json(rs, doc)
     assert validate_jacobi(bad) is not None
+
+
+def _with_entry(table, pair, val):
+    return StructureConstantTable(table.rs, table.convention_id,
+                                  {**table.n, pair: val})
+
+
+# every entry of G2, B3 and C3; 60 seeded entries of F4 and E6
+@pytest.mark.parametrize("label, rank, picks", [
+    ("G", 2, None), ("B", 3, None), ("C", 3, None), ("F", 4, 60), ("E", 6, 60)])
+def test_one_wrong_constant_fails_its_check(label, rank, picks, get_scalars):
+    """One entry with a wrong |N| fails the |N| check, whichever pair of
+    its zero-sum triple the root string was taken for; one entry with a
+    flipped sign fails the sign rules."""
+    table, _ = get_scalars(label, rank)
+    _validate_strings(table)
+    pairs = sorted(table.n)
+    if picks is not None:
+        pairs = random.Random(f"{label}{rank}").sample(pairs, picks)
+    for pair in pairs:
+        val = table.n[pair]
+        with pytest.raises(AssertionError, match=r"^\|N\| for pair"):
+            _validate_strings(_with_entry(table, pair, val + (1 if val > 0 else -1)))
+        with pytest.raises(AssertionError, match="^sign of N for pair"):
+            _validate_strings(_with_entry(table, pair, -val))
 
 
 def test_table_json_round_trip(get_rs, get_scalars):

@@ -1,13 +1,14 @@
 import gc
 import json
 import random
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
 
 import pytest
 
-from weylrep import affine, chevalley, cli, fixer, tits, weyl
+from weylrep import affine, chevalley, cli, fixer, intmat, tits, weyl
 from weylrep.chevalley import build_constants, table_to_json
 from weylrep.cli import (
     ConfigError,
@@ -354,6 +355,8 @@ def test_refuted_trivial_character_is_a_failure(monkeypatch, tmp_path):
 
 
 def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every ``weylrep`` namespace
+    that holds it, ``from``-imports included."""
     calls = []
     real = getattr(module, name)
 
@@ -361,7 +364,11 @@ def _count_calls(monkeypatch, module, name):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(module, name, counted)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("weylrep"):
+            for key, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, key, counted)
     return calls
 
 
@@ -372,11 +379,28 @@ def test_each_table_is_built_once_per_system(monkeypatch):
     cfg["systems"] = [{"type": "D", "rank": 5}]
     assert run_sweep(cfg)["status"] == "pass"
     assert len(constants) == 1
-    assert len(omegas) == len(affine.all_lattices(root_system("D", 5)))
+    assert len(omegas) == 1
     constants.clear()
     cfg["checks"] = {"cocycle": True}
     assert run_sweep(cfg)["status"] == "pass"
     assert constants == []
+
+
+def test_each_lattice_is_factored_once(monkeypatch):
+    """D6 and A7 have 5 and 4 lattices, with 60 solves per class: one
+    Smith form per lattice, and one inverse per lattice built (its basis)
+    or system (its Cartan matrix)."""
+    swept = sum(len(affine.all_lattices(root_system(*s))) for s in
+                (("D", 6), ("A", 7)))
+    snfs = _count_calls(monkeypatch, intmat, "smith_normal_form")
+    invs = _count_calls(monkeypatch, intmat, "mat_inv")
+    made = _count_calls(monkeypatch, affine, "_make_lattice")
+    solves = _count_calls(monkeypatch, fixer, "solve")
+    report = run_sweep(_one_check_config(["D6", "A7"], fixer=True))
+    assert report["status"] == "pass"
+    assert (swept, len(solves)) == (9, 660 + 900)
+    assert len(snfs) == swept
+    assert len(invs) <= len(made) + 2
 
 
 def _plant(monkeypatch, module, name, nth, outcome):
@@ -601,7 +625,6 @@ def test_fixture_naming_no_configured_system_is_config_error(tmp_path, capsys):
 def test_a_swept_system_lends_its_context_to_its_table(monkeypatch):
     """A table of a swept system reuses its root system and adjoint Ω group;
     a table of an unswept system builds its own.  Tables keep config order."""
-    lattices = len(affine.all_lattices(root_system("D", 5)))
     systems = _count_calls(monkeypatch, cli, "root_system")
     omegas = _count_calls(monkeypatch, affine, "omega_group")
     cfg = load_config(None)
@@ -609,13 +632,13 @@ def test_a_swept_system_lends_its_context_to_its_table(monkeypatch):
     cfg["tables"] = [{"type": "D", "rank": 5, "node": 5}]
     report = run_sweep(cfg)
     assert report["status"] == "pass"
-    assert (len(systems), len(omegas)) == (1, lattices)
+    assert (len(systems), len(omegas)) == (1, 1)
     assert report["tables"]["D5"] == emit_table_doc(root_system("D", 5), node=5)
     systems.clear()
     omegas.clear()
     cfg["tables"] = [{"type": "A", "rank": 3}, {"type": "D", "rank": 5, "node": 5}]
     report = run_sweep(cfg)
-    assert (len(systems), len(omegas)) == (2, lattices + 1)
+    assert (len(systems), len(omegas)) == (2, 2)
     assert list(report["tables"]) == ["A3", "D5"]
     text = cli._report_text(report)
     assert text.index("A3: triples") < text.index("D5: triples")

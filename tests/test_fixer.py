@@ -109,7 +109,7 @@ def test_so_lattice_explicit_recipe(get_rs, get_scalars):
             assert got is not None
             # epsilon basis: eps_1 = fundamental coweight 1, then
             # eps_{i+1} = eps_i - alpha_i-check
-            eps = [list(affine.fundamental_coweights(rs)[0])]
+            eps = [list(rs.fundamental_coweights[0])]
             for i in range(rs.rank - 1):
                 nxt = list(eps[-1])
                 nxt[i] -= 1
@@ -318,3 +318,55 @@ def test_degenerate_power_classes(get_rs, get_scalars):
         lam = random_functional(rng, units, rs.rank)
         ob = obstruction(rs, lat, om, lam, scalars, units)
         assert ob.modulus == 1 and ob.vanishes()
+
+
+HELD_SNF_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                  + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+                  + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("label, rank", HELD_SNF_TYPES)
+def test_held_smith_form_solves_like_a_fresh_one(label, rank, get_rs):
+    """Each lattice's held Smith form is its pairing's, and solving with it
+    gives exactly what a fresh factorisation gives, solvable or not."""
+    rs = get_rs(label, rank)
+    rng = random.Random(f"held-snf/{label}{rank}")
+    for lat in all_lattices(rs):
+        m = [list(row) for row in lat.pairing]
+        fresh = intmat.smith_normal_form(m)
+        assert lat.pairing_snf == fresh
+        assert lat.pairing_snf is lat.pairing_snf
+        for n in (4, 6, 8, 12, 16):
+            for _ in range(4):
+                b = [rng.randrange(n) for _ in range(rank)]
+                assert intmat.solve_mod(lat.pairing, lat.pairing_snf, b, n) == \
+                    intmat.solve_mod(m, fresh, b, n)
+
+
+def test_corrupted_held_smith_form_trips_the_witness_check(get_rs, get_scalars,
+                                                           monkeypatch):
+    """A Smith form whose v is still unimodular but wrong gives a wrong
+    solution, which solve_mod's per-solve witness check rejects."""
+    rs = get_rs("A", 2)
+    _, scalars = get_scalars("A", 2)
+    real = intmat.smith_normal_form
+
+    def corrupted(m):
+        d, u, v = real(m)
+        v = [list(row) for row in v]
+        v[0][1] += 1
+        return d, u, v
+
+    monkeypatch.setattr(intmat, "smith_normal_form", corrupted)
+    lat = adjoint_lattice(rs)  # pairing, d, u and v are all the identity
+    om = next(o for o in omega_group(rs, lat) if o.class_node is not None)
+    units = units_for(13)
+    system = build_system(rs, lat, om, GenericFunctional((0, 1, 5)), scalars,
+                          units)
+    assert system.targets[2] % units.order != 0  # so v's fault moves x
+    with pytest.raises(AssertionError, match="bad witness"):
+        solve(system)
+    monkeypatch.undo()
+    assert solve(build_system(rs, adjoint_lattice(rs), om,
+                              GenericFunctional((0, 1, 5)), scalars,
+                              units)) is not None

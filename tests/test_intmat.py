@@ -42,7 +42,7 @@ def test_snf_diagonalizes_with_unimodular_transforms(m):
 def test_solve_mod_agrees_with_brute_force(m, n, seed):
     rows, cols = len(m), len(m[0])
     b = [(seed // (n ** i)) % n for i in range(rows)]
-    x = solve_mod(m, b, n)
+    x = solve_mod(m, smith_normal_form(m), b, n)
     if cols <= 3 and n <= 6:
         brute = None
         for cand in itertools.product(range(n), repeat=cols):
