@@ -56,9 +56,11 @@ __all__ = [
 class CocharLattice:
     """A lattice between Q^vee and P^vee, by a basis in simple-coroot coords.
 
-    ``pairing[i][k]`` is the integer <alpha_i, basis_k>.  The lattice is
-    factored once: ``basis_inv`` is kept from construction, and
-    ``pairing_snf`` is built on first use.
+    ``pairing[i][k]`` is the integer <alpha_i, basis_k>, and
+    ``pairing_row0[k]`` is <-theta, basis_k>, the row of the affine node
+    alpha_0 = delta - theta.  The lattice is factored once: ``basis_inv``
+    and ``pairing_row0`` are kept from construction, and ``pairing_snf``
+    is built on first use.
     """
 
     name: str
@@ -66,6 +68,7 @@ class CocharLattice:
     basis_inv: tuple[tuple[Fraction, ...], ...]  # rows: simple coroots in this basis
     index_in_coroot: int  # order of (this lattice) / Q^vee
     pairing: tuple[tuple[int, ...], ...]
+    pairing_row0: tuple[int, ...]
 
     @cached_property
     def pairing_snf(self):
@@ -94,8 +97,10 @@ def _make_lattice(rs: RootSystem, name: str, rows) -> CocharLattice:
         for x in row:
             if x.denominator != 1:
                 raise ValueError(f"{name}: not contained in the coweight lattice")
-    return CocharLattice(name, basis, binv, int(index),
-                         tuple(tuple(int(x) for x in row) for row in pairing))
+    pairing = tuple(tuple(int(x) for x in row) for row in pairing)
+    theta = rs.roots[rs.highest_root]
+    row0 = tuple(-sum(map(mul, theta, col)) for col in zip(*pairing))
+    return CocharLattice(name, basis, binv, int(index), pairing, row0)
 
 
 def marks(rs: RootSystem) -> tuple[int, ...]:

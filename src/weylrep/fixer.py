@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import intmat
 from .affine import CocharLattice, OmegaElement, adjoint_lattice, affine_nodes
@@ -110,21 +111,15 @@ def solve(system: FixerSystem):
 
     Solves rows 1..rank as an integer-linear system mod N with the
     lattice's held Smith form; the witness is then checked against every
-    row including the redundant zeroth.
+    row including the redundant zeroth, the lattice's ``pairing_row0``.
     """
-    rs = system.rs
     n = system.units.order
     lat = system.lattice
-    m = lat.pairing
     b = list(system.targets[1:])
-    x = intmat.solve_mod(m, lat.pairing_snf, b, n)
+    x = intmat.solve_mod(lat.pairing, lat.pairing_snf, b, n)
     if x is None:
         return None
-    theta = rs.roots[rs.highest_root]
-    row0 = [-sum(theta[i] * m[i][k] for i in range(rs.rank))
-            for k in range(rs.rank)]
-    val0 = sum(row0[k] * x[k] for k in range(rs.rank)) % n
-    if val0 != system.targets[0]:
+    if sum(map(mul, lat.pairing_row0, x)) % n != system.targets[0]:
         raise AssertionError("witness fails the redundant zeroth row")
     return x
 

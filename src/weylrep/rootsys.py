@@ -269,33 +269,37 @@ class RootSystem:
         return tuple(map(tuple, mat_inv(self.datum.cartan_matrix)))
 
     @cached_property
-    def coset_chain(self) -> tuple[tuple[itemgetter, ...], ...]:
+    def coset_chain(self) -> tuple[tuple[tuple[itemgetter, tuple[int, ...]], ...], ...]:
         """Minimal coset representatives along J_1 < J_2 < ... < J_rank = S.
 
         With J_k = {1..k}, ``coset_chain[k - 1]`` holds the elements of
         W_{J_k} with no right descent in J_{k-1}: the minimal left coset
-        representatives of W_{J_{k-1}} in W_{J_k}, identity first, as
-        ``itemgetter``s that compose on the right like ``simple_getters``.
+        representatives of W_{J_{k-1}} in W_{J_k}, identity first.
+        Each is a pair ``(getter, walk)``: an ``itemgetter`` that composes
+        on the right like ``simple_getters``, and the walk roots of a
+        reduced word of the representative, the word its search found.
         Every w in W is c_rank ... c_1 for exactly one c_k per level
         (Björner-Brenti, *Combinatorics of Coxeter Groups*, §2.4).  Each
         level is a breadth-first search from the identity under left
         multiplication by s_1..s_k; dropping the first letter of a reduced
         word keeps an element a representative, so the search reaches them
-        all.  Built on first use, from ``simple_perms`` alone.
+        all, each at its length, and its search word is reduced.  If
+        x = s_i p, the walk of x is alpha_i followed by s_i applied to the
+        walk of p.  Built on first use, from ``simple_perms`` alone.
         """
         npos = self.npos
         levels = []
         for k in range(1, self.rank + 1):
             smaller = self.simple_index[:k - 1]
             found = [tuple(range(self.nroots))]
-            seen = set(found)
+            walks = {found[0]: ()}
             for p in found:
-                for s in self.simple_perms[:k]:
+                for s, a in zip(self.simple_perms[:k], self.simple_index):
                     x = tuple(map(s.__getitem__, p))
-                    if x not in seen and all(x[j] >= npos for j in smaller):
-                        seen.add(x)
+                    if x not in walks and all(x[j] >= npos for j in smaller):
+                        walks[x] = (a, *map(s.__getitem__, walks[p]))
                         found.append(x)
-            levels.append(tuple(itemgetter(*p) for p in found))
+            levels.append(tuple((itemgetter(*p), walks[p]) for p in found))
         return tuple(levels)
 
     @cached_property

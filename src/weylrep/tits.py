@@ -11,16 +11,27 @@ step for length-decreasing multiplications.  Nothing here consults the
 flip-set formula, so comparing the computed 2-cocycle against the
 flip-set prediction is a genuine two-sided test.
 
-``multiply(x, y)`` multiplies x by y's canonical word one generator at
+``multiply(x, y)`` multiplies x by a reduced word of y one generator at
 a time, without composing the partial products: the one fact each step
 needs, the image of the next simple root, is x applied to a root cached
-by y's descent walk (``WeylElement.walk``).  That walk ends at the
-identity, which proves the word multiplies to y, so the Weyl part of
-the product is x.weyl * y.weyl.  This is still the honest group law:
-each step applies the defining relation of one generator, and only the
-bookkeeping of the partial product is replaced.  As a set the walk roots
-are the inversion set of y^-1, but they come from the walk that
-extracts the word, never from ``inversion_set`` or ``flip_set``.
+as y's walk (``WeylElement.walk``).  Any reduced word will do, because
+the canonical representative of y does not depend on the reduced word
+(Tits, "Normalisateurs de tores I", J. Algebra 4, 1966).  The walk
+comes from one of two places, and each proves that its word is a
+reduced word of y, so the Weyl part of the product is x.weyl * y.weyl:
+
+- an element built by ``weyl.unrank`` (every sampled element) carries
+  the walk of its coset-chain word, whose letters compose to y's
+  permutation and number exactly l(y), so the word is reduced;
+- any other element (every enumerated element) gets the walk of the
+  descent that extracts its canonical word, which takes l(y) steps and
+  must end at the identity.
+
+This is still the honest group law: each step applies the defining
+relation of one generator, and only the bookkeeping of the partial
+product is replaced.  As a set the walk roots are the inversion set of
+y^-1, but they come from a walk along a word, never from
+``inversion_set`` or ``flip_set``.
 """
 
 from __future__ import annotations
@@ -73,7 +84,7 @@ def generator(rs: RootSystem, i: int) -> TitsElement:
 
 
 def multiply(x: TitsElement, y: TitsElement) -> TitsElement:
-    """Normal-form product, one generator of y's word at a time.
+    """Normal-form product, one generator of a reduced word of y at a time.
 
     Length-increasing steps absorb into the word; length-decreasing
     steps trade the generator for a coroot bit (the exchange step),
@@ -127,7 +138,19 @@ def cocycle(u: WeylElement, v: WeylElement) -> int:
     conjugated by canonical(uv), that is (uv)^-1 applied to t.
     """
     prod = multiply(canonical(u), canonical(v))
-    return act_bits(prod.weyl.inverse(), prod.bits)
+    return _act_bits_inverse(prod.weyl, prod.bits)
+
+
+def _act_bits_inverse(w: WeylElement, mask: int) -> int:
+    """``act_bits(w.inverse(), mask)`` without building w^-1: for each set
+    bit i, w^-1(alpha_i) is the root that w sends to alpha_i."""
+    masks = w.rs.coroot_masks
+    find = w.perm.index
+    out = 0
+    for i, s in enumerate(w.rs.simple_index):
+        if mask >> i & 1:
+            out ^= masks[find(s)]
+    return out
 
 
 def flip_prediction(u: WeylElement, v: WeylElement) -> int:

@@ -1,9 +1,11 @@
 """Finite Weyl group elements as exact permutations of the root list.
 
 Elements carry a canonical reduced word (greedy smallest-descent
-extraction, so equal permutations always yield equal words), cached with
-the roots that the extracting walk visits, and act on roots through
-precomputed simple-reflection permutation tables.  The
+extraction, so equal permutations always yield equal words) and the walk
+roots of a reduced word, and act on roots through precomputed
+simple-reflection permutation tables.  An unranked element gets its walk
+from the coset chain that builds it; any other element gets the roots
+that the descent walk extracting its canonical word visits.  The
 sign-flip machinery lives here: inversion sets, the two-step flip set
 ``flip_set(u, v)`` of positive roots sent negative by ``v`` and back to
 positive by ``u``, and the coroot-sum functionals built on it.
@@ -22,7 +24,9 @@ Sampling is uniform by construction.  ``unrank`` is a bijection from
 coset representative per level of the parabolic chain
 ``RootSystem.coset_chain`` and composes them, so ``random_element``,
 which unranks one uniform index, draws every element with probability
-1/|W|.
+1/|W|.  The factorisation is length-additive, so the representatives'
+reduced words concatenate to a reduced word of the element, and their
+walks, moved through the prefix already composed, give its walk.
 """
 
 from __future__ import annotations
@@ -95,22 +99,28 @@ class WeylElement:
     def length(self) -> int:
         if self._length is None:
             npos = self.rs.npos
-            self._length = sum(1 for k in self.rs.positive_indices()
-                               if self.perm[k] < npos)
+            self._length = len([x for x in self.perm[npos:] if x < npos])
         return self._length
 
     @property
     def word(self) -> tuple[int, ...]:
-        """Canonical reduced word: repeatedly strip the smallest right descent."""
+        """Canonical reduced word: repeatedly strip the smallest right descent.
+
+        Extracted on first read; a walk already set is kept, so the walk
+        may follow another reduced word than this one.
+        """
         if self._word is None:
             self._descend()
         return self._word
 
     @property
     def walk(self) -> tuple[int, ...]:
-        """Root indices beta_k = s_{i1}...s_{ik}(alpha_{i(k+1)}) along ``word``.
+        """Root indices beta_k = s_{i1}...s_{ik}(alpha_{i(k+1)}) along a
+        reduced word i1...iL of w.
 
-        As a set they are the inversion set of w^-1, one root per letter.
+        The word is the coset-chain word for an unranked element and
+        ``word`` for any other.  As a set the roots are the inversion set
+        of w^-1, one root per letter, whichever reduced word they follow.
         For any v, v(beta_k) is the image of alpha_{i(k+1)} under the
         partial product v s_{i1}...s_{ik}, so its sign says whether the
         next letter shortens that product without composing it.
@@ -124,7 +134,8 @@ class WeylElement:
 
         Stripping letter i from cur = w s_{iL}...s_{i(k+2)} visits the root
         -cur(alpha_i) = beta_k.  Reaching the identity proves that the
-        word multiplies out to w, which every walk root relies on.
+        word multiplies out to w, which every walk root relies on.  The
+        roots are kept only when no walk is set yet.
         """
         rs = self.rs
         npos = rs.npos
@@ -147,7 +158,8 @@ class WeylElement:
         if cur != _identity_perm(rs):
             raise AssertionError("descent walk did not reach the identity")
         self._word = tuple(reversed(letters))
-        self._walk = tuple(reversed(roots))
+        if self._walk is None:
+            self._walk = tuple(reversed(roots))
 
     @property
     def coroot_sum(self) -> tuple[int, ...]:
@@ -360,15 +372,28 @@ def unrank(rs: RootSystem, n: int) -> WeylElement:
     ``rs.coset_chain[k - 1]``.  The mixed-radix digits of n, least
     significant first, pick c_rank, then c_(rank-1), down to c_1, so
     distinct indices give distinct elements and every element has one.
+
+    The element's walk follows a reduced word: the concatenation of the
+    representatives' search words.  c_k's walk roots are moved through
+    the prefix c_rank ... c_(k+1), one lookup per root.  The permutation
+    is the product of that word, so having exactly l(w) letters proves
+    it reduced; a shorter or longer walk raises ``AssertionError``.
     """
     order = group_order(rs)
     if not 0 <= n < order:
         raise ValueError(f"index {n} is not in [0, {order})")
     perm = _identity_perm(rs)
+    walk = []
     for level in reversed(rs.coset_chain):
         n, digit = divmod(n, len(level))
-        perm = level[digit](perm)
-    return WeylElement(rs, perm)
+        getter, cwalk = level[digit]
+        walk.extend(map(perm.__getitem__, cwalk))
+        perm = getter(perm)
+    w = WeylElement(rs, perm)
+    if len(walk) != w.length:
+        raise AssertionError("chain walk is not a reduced word of its element")
+    w._walk = tuple(walk)
+    return w
 
 
 def random_element(rs: RootSystem, rng) -> WeylElement:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -370,3 +371,32 @@ def test_corrupted_held_smith_form_trips_the_witness_check(get_rs, get_scalars,
     assert solve(build_system(rs, adjoint_lattice(rs), om,
                               GenericFunctional((0, 1, 5)), scalars,
                               units)) is not None
+
+
+@pytest.mark.parametrize("label, rank", HELD_SNF_TYPES)
+def test_held_zeroth_row_is_minus_theta_paired_with_the_basis(label, rank,
+                                                             get_rs):
+    rs = get_rs(label, rank)
+    theta = rs.roots[rs.highest_root]
+    for lat in all_lattices(rs):
+        assert lat.pairing_row0 == tuple(
+            -sum(theta[i] * lat.pairing[i][k] for i in range(rank))
+            for k in range(rank))
+
+
+def test_corrupted_held_zeroth_row_trips_the_zeroth_row_check(get_rs,
+                                                              get_scalars):
+    """solve checks every witness against the lattice's held zeroth row."""
+    rs = get_rs("A", 2)
+    _, scalars = get_scalars("A", 2)
+    lat = adjoint_lattice(rs)
+    om = next(o for o in omega_group(rs, lat) if o.class_node is not None)
+    lam = GenericFunctional((0, 1, 5))
+    units = units_for(13)
+    x = solve(build_system(rs, lat, om, lam, scalars, units))
+    k = next(k for k, xk in enumerate(x) if xk % units.order)
+    row0 = list(lat.pairing_row0)
+    row0[k] += 1
+    bad = dataclasses.replace(lat, pairing_row0=tuple(row0))
+    with pytest.raises(AssertionError, match="zeroth row"):
+        solve(build_system(rs, bad, om, lam, scalars, units))

@@ -253,3 +253,42 @@ def test_check_cocycle_formula_wrapper(get_rs):
     rs = get_rs("G", 2)
     group = weyl.enumerate_group(rs)
     assert all(check_cocycle_formula(u, v) for u in group for v in group)
+
+
+def _with_descent_walk(w):
+    """The same element, walked by the descent that extracts its word."""
+    return weyl.WeylElement(w.rs, w.perm)
+
+
+def test_multiply_is_the_same_with_chain_and_descent_walks(get_rs):
+    for label, rank in (("A", 3), ("B", 3), ("G", 2)):
+        rs = get_rs(label, rank)
+        group = [weyl.unrank(rs, n) for n in range(weyl.group_order(rs))]
+        for u in group:
+            for v in group:
+                assert multiply(canonical(u), canonical(v)) == \
+                    multiply(canonical(u), canonical(_with_descent_walk(v)))
+    for label, rank in (("E", 7), ("E", 8)):
+        rs = get_rs(label, rank)
+        rng = random.Random(f"chain-walk/multiply/{label}{rank}")
+        for _ in range(500):
+            u, v = (weyl.random_element(rs, rng) for _ in range(2))
+            x = tits.TitsElement(_mask(rng.randrange(2) for _ in range(rank)), u)
+            assert multiply(x, canonical(v)) == \
+                multiply(x, canonical(_with_descent_walk(v)))
+
+
+def test_cocycle_transports_without_the_inverse(get_rs):
+    """The index-based transport equals act_bits of the inverse element."""
+    for label, rank in (("A", 3), ("B", 3), ("G", 2)):
+        rs = get_rs(label, rank)
+        for w in weyl.enumerate_group(rs):
+            for mask in range(1 << rank):
+                assert tits._act_bits_inverse(w, mask) == \
+                    act_bits(w.inverse(), mask)
+    rs = get_rs("E", 7)
+    rng = random.Random("cocycle-transport/E7")
+    for _ in range(200):
+        u, v = (weyl.random_element(rs, rng) for _ in range(2))
+        prod = multiply(canonical(u), canonical(v))
+        assert cocycle(u, v) == act_bits(prod.weyl.inverse(), prod.bits)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from operator import mul
@@ -5,6 +6,8 @@ from operator import mul
 import pytest
 
 from weylrep import weyl
+from weylrep.cli import load_config, run_sweep
+from weylrep.rootsys import RootSystem, root_system
 from weylrep.weyl import (
     check_first_difference,
     check_flip_symmetry,
@@ -350,7 +353,7 @@ def test_coset_chain_factors_the_poincare_polynomial(label, rank, get_rs):
     poly = [1]
     longest = identity(rs)
     for level in rs.coset_chain:
-        reps = [weyl.WeylElement(rs, getter(start)) for getter in level]
+        reps = [weyl.WeylElement(rs, getter(start)) for getter, _ in level]
         assert reps[0] == identity(rs)
         level_poly = [0] * (max(c.length for c in reps) + 1)
         for c in reps:
@@ -367,6 +370,70 @@ def test_coset_chain_level_sizes(get_rs):
     assert [len(level) for level in get_rs("E", 8).coset_chain] == \
         [2, 2, 3, 10, 16, 27, 56, 240]
     assert [len(level) for level in get_rs("A", 4).coset_chain] == [2, 3, 4, 5]
+
+
+def _check_chain_walk(w):
+    """The walk ``unrank`` sets is that of a reduced word of w."""
+    rs = w.rs
+    assert w._walk is not None
+    assert all(rs.is_positive(b) for b in w.walk)
+    assert len(w.walk) == w.length
+    assert frozenset(w.walk) == inversion_set(w.inverse())
+
+
+@pytest.mark.parametrize("label,rank", [
+    t for t in SMALL_TYPES if math.prod(_degrees(*t)) <= 23_040])
+def test_chain_walk_is_a_reduced_word_at_every_index(label, rank, get_rs):
+    rs = get_rs(label, rank)
+    for n in range(group_order(rs)):
+        _check_chain_walk(unrank(rs, n))
+
+
+@pytest.mark.parametrize("label,rank", [("E", 6), ("E", 7), ("E", 8)])
+def test_chain_walk_is_a_reduced_word_on_draws(label, rank, get_rs):
+    rs = get_rs(label, rank)
+    rng = random.Random(f"chain-walk/{label}{rank}")
+    for _ in range(500):
+        _check_chain_walk(weyl.random_element(rs, rng))
+
+
+def test_reading_the_word_keeps_the_chain_walk(get_rs):
+    """``word`` is the canonical greedy word; extracting it leaves the
+    walk that ``unrank`` set in place."""
+    rs = get_rs("E", 7)
+    rng = random.Random("chain-walk/word")
+    for _ in range(200):
+        w = weyl.random_element(rs, rng)
+        walk = w._walk
+        assert walk is not None
+        assert from_word(rs, w.word) == w
+        assert w.walk is walk
+
+
+def test_unrank_rejects_a_chain_walk_that_is_not_reduced(monkeypatch):
+    """A representative whose walk lost its last root makes ``unrank``
+    raise on every index that picks it, and a sampled cocycle sweep
+    does not pass."""
+    real = RootSystem.coset_chain
+
+    def short_walk(rs):
+        *lower, top = real.func(rs)
+        getter, walk = top[-1]
+        return (*lower, top[:-1] + ((getter, walk[:-1]),))
+
+    faulty = functools.cached_property(short_walk)
+    faulty.__set_name__(RootSystem, "coset_chain")
+    monkeypatch.setattr(RootSystem, "coset_chain", faulty)
+    rs = root_system("E", 6)
+    top = len(rs.coset_chain[-1])
+    assert unrank(rs, top - 2).length == len(unrank(rs, top - 2).walk)
+    for n in (top - 1, 2 * top - 1, group_order(rs) - 1):
+        with pytest.raises(AssertionError, match="not a reduced word"):
+            unrank(rs, n)
+    cfg = {**load_config(None), "systems": [{"type": "E", "rank": 6}],
+           "checks": {"cocycle": True}}
+    with pytest.raises(AssertionError, match="not a reduced word"):
+        run_sweep(cfg)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 1), ("B", 3), ("G", 2), ("D", 4)])
