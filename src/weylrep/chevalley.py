@@ -5,15 +5,15 @@ for each positive non-simple root the additively-first decomposition
 gets a positive constant, the other special pairs follow from the
 Jacobi identity, and each one fixed sets its whole zero-sum triple.
 Conjugation scalars of the canonical representatives are then read off
-from exact adjoint exponentials applied one basis vector at a time,
-which land in signed permutations of the root vectors.
+from adjoint exponentials applied one root vector at a time, which land
+in signed permutations of the root vectors.  Everything is in integers:
+the constants are, and each divided power ad(e)^k / k! is an exact
+division, as it must be in a Chevalley basis (Kostant).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .affine import affine_nodes
 from .rootsys import RootSystem, root_string
@@ -92,10 +92,9 @@ def constants_from_special_pairs(rs: RootSystem, assigned,
     def put(a: int, b: int, val: int) -> None:
         c = neg[sum_index(a, b)]
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            v = Fraction(norms[z], norms[c]) * val
-            if v.denominator != 1:
+            v, rem = divmod(norms[z] * val, norms[c])
+            if rem:
                 raise AssertionError("non-integral derived constant")
-            v = int(v)
             n[(x, y)] = n[(neg[y], neg[x])] = v
             n[(y, x)] = n[(neg[x], neg[y])] = -v
 
@@ -118,10 +117,9 @@ def constants_from_special_pairs(rs: RootSystem, assigned,
             dma = sum_index(d, neg[a0])
             if dma is not None:
                 t2 = n[(d, neg[a0])] * n[(dma, c)]
-            val = Fraction(-(t1 + t2), denom)
-            if val.denominator != 1:
+            ncd, rem = divmod(-(t1 + t2), denom)
+            if rem:
                 raise AssertionError("Jacobi division left a remainder")
-            ncd = int(val)
             if assigned and (c, d) in assigned and \
                     (1 if ncd > 0 else -1) != assigned[(c, d)]:
                 raise ValueError(f"sign for pair {(c, d)} is not consistently "
@@ -142,9 +140,7 @@ def _validate_strings(table: StructureConstantTable) -> None:
     N_{a,b} by that rule, antisymmetry and negation.
     """
     rs = table.rs
-    n, neg, roots = table.n, rs.neg, rs.roots
-    scale = lcm(*(x.denominator for x in rs.norms2))  # integral squared lengths
-    norms = [int(x * scale) for x in rs.norms2]
+    n, neg, roots, norms = table.n, rs.neg, rs.roots, rs.norms2
     for a, b in n:
         if not rs.npos <= a < b:
             continue
@@ -283,21 +279,25 @@ def _ad_matrix(table: StructureConstantTable, a: int):
             for j in range(rs.rank):
                 v = rs.coroots[a][j]
                 if v:
-                    cols[b][rs.nroots + j] = Fraction(v)
+                    cols[b][rs.nroots + j] = v
             continue
         s = rs.index.get(tuple(x + y for x, y in
                                zip(rs.roots[a], rs.roots[b])))
         if s is not None:
-            cols[b][s] = Fraction(table.n[(a, b)])
+            cols[b][s] = table.n[(a, b)]
     for j in range(rs.rank):
         v = rs._psc[a][j]
         if v:
-            cols[rs.nroots + j][a] = Fraction(-v)
+            cols[rs.nroots + j][a] = -v
     return cols
 
 
-def _exp_apply(cols, scale: Fraction, vec: dict) -> dict:
-    """exp(scale * M) vec for nilpotent sparse M given by columns."""
+def _exp_apply(cols, scale: int, vec: dict) -> dict:
+    """exp(scale * M) vec for nilpotent sparse integer M given by columns.
+
+    Each divided power is an exact division by k; in a Chevalley basis
+    it cannot leave a remainder, so one means a corrupted table.
+    """
     out = dict(vec)
     term = vec
     power = 0
@@ -307,7 +307,9 @@ def _exp_apply(cols, scale: Fraction, vec: dict) -> dict:
         for idx, coef in term.items():
             for tgt, m in cols[idx].items():
                 nxt[tgt] = nxt.get(tgt, 0) + coef * m
-        term = {i: v * scale / power for i, v in nxt.items() if v}
+        if any(v % power for v in nxt.values()):
+            raise AssertionError("a divided power of ad(e) is not integral")
+        term = {i: v * scale // power for i, v in nxt.items() if v}
         for i, v in term.items():
             out[i] = out.get(i, 0) + v
         if power > len(cols):
@@ -316,23 +318,22 @@ def _exp_apply(cols, scale: Fraction, vec: dict) -> dict:
 
 
 def _ad_n_columns(table: StructureConstantTable, i: int) -> list[dict]:
-    """Columns of Ad(n_i) = exp(ad e) exp(-ad f) exp(ad e), i 0-based."""
+    """Ad(n_i) = exp(ad e) exp(-ad f) exp(ad e) on the root vectors, i 0-based."""
     rs = table.rs
     e = rs.simple_index[i]
     ad_e = _ad_matrix(table, e)
     ad_f = _ad_matrix(table, rs.neg[e])
-    one = Fraction(1)
-    return [_exp_apply(ad_e, one, _exp_apply(ad_f, -one,
-                                             _exp_apply(ad_e, one, {k: one})))
-            for k in range(rs.nroots + rs.rank)]
+    return [_exp_apply(ad_e, 1, _exp_apply(ad_f, -1, _exp_apply(ad_e, 1, {k: 1})))
+            for k in range(rs.nroots)]
 
 
 def scalar_table(table: StructureConstantTable) -> ScalarTable:
     """Exponentiate n_i = u_i(1) u_{-i}(-1) u_i(1) in the adjoint action.
 
-    Each column is the three exact exponentials applied to one basis
-    vector.  The resulting operator must act on every root vector as
-    +-(another root vector); anything else is a corrupted constants table.
+    Each column is the three exponentials applied to one root vector, in
+    integers, with every divided power an exact division.  The operator
+    must act on every root vector as +-(another root vector); anything
+    else is a corrupted constants table.
     """
     rs = table.rs
     perms = []
@@ -349,11 +350,7 @@ def scalar_table(table: StructureConstantTable) -> ScalarTable:
             if tgt != srefl[b] or val not in (1, -1):
                 raise AssertionError(f"Ad(n_{i+1}) sends e_{rs.root_name(b)} to "
                                      f"{val} * basis[{tgt}], expected +-e_s(b)")
-            sp.append((tgt, int(val)))
-        for j in range(rs.rank):  # the Cartan block must stay integral too
-            for val in m[rs.nroots + j].values():
-                if val.denominator != 1:
-                    raise AssertionError("Ad(n) is not integral on the Cartan part")
+            sp.append((tgt, val))
         perms.append(tuple(sp))
     return ScalarTable(rs, table.convention_id, tuple(perms))
 

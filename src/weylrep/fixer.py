@@ -145,9 +145,7 @@ def connecting_character(rs: RootSystem, small: CocharLattice,
     boundary map only up to an automorphism of Z/d.
     """
     rank = rs.rank
-    bb = [list(row) for row in big.basis]
-    bs = [list(row) for row in small.basis]
-    c = intmat.mat_mul(bs, big.basis_inv)
+    c = intmat.mat_mul(small.basis, big.basis_inv)
     for row in c:
         for x in row:
             if Fraction(x).denominator != 1:
@@ -161,16 +159,12 @@ def connecting_character(rs: RootSystem, small: CocharLattice,
     if len(nontrivial) > 1:
         raise ValueError(f"quotient is not cyclic: invariant factors {diag}")
     d = nontrivial[0]
-    # rows of v^-1 * big basis are the adapted basis; the last one is f
-    v_inv = intmat.mat_inv(v)
-    adapted = intmat.mat_mul(v_inv, bb)
-    pf = [[sum(Fraction(adapted[k][j]) * rs.datum.cartan_matrix[j][i]
-               for j in range(rank)) for k in range(rank)]
-          for i in range(rank)]
-    pf_inv = intmat.mat_inv(pf)
+    # the adapted basis is v^-1 * big basis, so the character dual to its
+    # last vector f is (last column of v) * big.pairing^-1
+    p_inv = intmat.mat_inv(big.pairing)
     coeffs = []
     for i in range(rank):
-        x = pf_inv[rank - 1][i]
+        x = sum(v[k][rank - 1] * p_inv[k][i] for k in range(rank))
         if Fraction(x).denominator != 1:
             raise ValueError("boundary character is not a root-lattice element; "
                              "the big lattice must be the coweight lattice")

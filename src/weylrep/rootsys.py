@@ -85,18 +85,17 @@ _RANK_RANGE = {
 }
 
 
-def _norms2(label: str, rank: int) -> tuple[Fraction, ...]:
+def _norms2(label: str, rank: int) -> tuple[int, ...]:
     """Squared lengths (alpha_i | alpha_i) in the standard normalization."""
-    two = Fraction(2)
     if label == "B":
-        return tuple([two] * (rank - 1) + [Fraction(1)])
+        return (2,) * (rank - 1) + (1,)
     if label == "C":
-        return tuple([two] * (rank - 1) + [Fraction(4)])
+        return (2,) * (rank - 1) + (4,)
     if label == "F":
-        return (two, two, Fraction(1), Fraction(1))
+        return (2, 2, 1, 1)
     if label == "G":
-        return (two, Fraction(6))
-    return tuple([two] * rank)
+        return (2, 6)
+    return (2,) * rank
 
 
 @dataclass(frozen=True)
@@ -148,9 +147,7 @@ def cartan_datum(type_label: str, rank: int) -> CartanDatum:
     if rank < lo or (hi is not None and rank > hi):
         raise CartanError(f"rank {rank} out of range for type {type_label}")
     m = _cartan_matrix(type_label, rank)
-    datum = CartanDatum(type_label, rank, tuple(tuple(row) for row in m))
-    datum.validate()
-    return datum
+    return CartanDatum(type_label, rank, tuple(tuple(row) for row in m))
 
 
 class RootSystem:
@@ -170,11 +167,10 @@ class RootSystem:
         self.rank = datum.rank
         cartan = datum.cartan_matrix
         norms2 = _norms2(datum.type_label, datum.rank)
-        # symmetrizer d_i = (alpha_i|alpha_i)/2 must make d_i * m[i][j] symmetric
-        d = [x / 2 for x in norms2]
+        # (alpha_i|alpha_i) * m[i][j] = 2 (alpha_i|alpha_j) must be symmetric
         for i in range(self.rank):
             for j in range(self.rank):
-                if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
+                if norms2[i] * cartan[i][j] != norms2[j] * cartan[j][i]:
                     raise CartanError("norms do not symmetrize the Cartan matrix")
 
         pos = _close_positive_roots(cartan, self.rank)
@@ -187,30 +183,30 @@ class RootSystem:
         if self.nroots != 2 * self.npos:
             raise CartanError("root negation is not an involution")
 
+        self.identity_perm = tuple(range(self.nroots))
         self.heights = tuple(sum(r) for r in self.roots)
         self.neg = tuple(self.index[tuple(-c for c in r)] for r in self.roots)
 
-        # inner products (alpha_i|alpha_j) = d_i * cartan[i][j]
-        self._gram = [[d[i] * cartan[i][j] for j in range(self.rank)]
+        # inner products (alpha_i|alpha_j) = (alpha_i|alpha_i) * cartan[i][j] / 2
+        self._gram = [[Fraction(norms2[i] * x, 2) for x in cartan[i]]
                       for i in range(self.rank)]
         # pairing with simple coroots: psc[k][i] = <root_k, alpha_i^vee>
         self._psc = psc = tuple(
             tuple(sum(r[j] * cartan[i][j] for j in range(self.rank))
                   for i in range(self.rank)) for r in self.roots)
-        # (r|r) = sum_i r_i * d_i * <r, alpha_i^vee>
-        self.norms2 = tuple(sum(r[i] * d[i] * p[i] for i in range(self.rank))
+        # 2(r|r) = sum_i r_i * (alpha_i|alpha_i) * <r, alpha_i^vee>, an even integer
+        self.norms2 = tuple(sum(x * n * y for x, n, y in zip(r, norms2, p)) // 2
                             for r, p in zip(self.roots, psc))
 
-        # coroot coordinates: b^vee = sum_j b_j * (d_j / d_b) alpha_j^vee
+        # coroot coordinates: b^vee = sum_j b_j (alpha_j|alpha_j) / (b|b) alpha_j^vee
         coroots = []
-        for k, r in enumerate(self.roots):
-            db = self.norms2[k] / 2
+        for r, nb in zip(self.roots, self.norms2):
             co = []
-            for j in range(self.rank):
-                x = Fraction(r[j]) * d[j] / db
-                if x.denominator != 1:
+            for x in map(mul, r, norms2):
+                c, rem = divmod(x, nb)
+                if rem:
                     raise CartanError("non-integral coroot coordinate")
-                co.append(int(x))
+                co.append(c)
             coroots.append(tuple(co))
         self.coroots = tuple(coroots)
         # coroot of root k mod 2 as an int: bit i is its alpha_i^vee coefficient mod 2
@@ -291,7 +287,7 @@ class RootSystem:
         levels = []
         for k in range(1, self.rank + 1):
             smaller = self.simple_index[:k - 1]
-            found = [tuple(range(self.nroots))]
+            found = [self.identity_perm]
             walks = {found[0]: ()}
             for p in found:
                 for s, a in zip(self.simple_perms[:k], self.simple_index):

@@ -93,7 +93,7 @@ class WeylElement:
 
     def is_identity(self) -> bool:
         return self._length == 0 if self._length is not None else \
-            self.perm == _identity_perm(self.rs)
+            self.perm == self.rs.identity_perm
 
     @property
     def length(self) -> int:
@@ -155,7 +155,7 @@ class WeylElement:
             letters.append(i + 1)
             roots.append(neg[img])
             cur = getters[i](cur)
-        if cur != _identity_perm(rs):
+        if cur != rs.identity_perm:
             raise AssertionError("descent walk did not reach the identity")
         self._word = tuple(reversed(letters))
         if self._walk is None:
@@ -185,12 +185,8 @@ class WeylElement:
         return f"WeylElement({self.rs!r}, word={self.word})"
 
 
-def _identity_perm(rs: RootSystem) -> tuple[int, ...]:
-    return tuple(range(rs.nroots))
-
-
 def identity(rs: RootSystem) -> WeylElement:
-    w = WeylElement(rs, _identity_perm(rs))
+    w = WeylElement(rs, rs.identity_perm)
     w._word = ()
     w._walk = ()
     w._length = 0
@@ -209,7 +205,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 def from_word(rs: RootSystem, word) -> WeylElement:
     """Compose simple reflections; the stored word is re-extracted reduced."""
-    perm = _identity_perm(rs)
+    perm = rs.identity_perm
     getters = rs.simple_getters
     for i in word:
         if not 1 <= i <= rs.rank:
@@ -382,7 +378,7 @@ def unrank(rs: RootSystem, n: int) -> WeylElement:
     order = group_order(rs)
     if not 0 <= n < order:
         raise ValueError(f"index {n} is not in [0, {order})")
-    perm = _identity_perm(rs)
+    perm = rs.identity_perm
     walk = []
     for level in reversed(rs.coset_chain):
         n, digit = divmod(n, len(level))

@@ -50,6 +50,19 @@ def test_public_names_have_callers(name):
     assert [x for x in exported if x not in used] == []
 
 
+def test_chevalley_does_not_import_fractions():
+    """The Chevalley layer is integral: its constants, ad(e) and the divided
+    powers of ad(e) are ints, so ``fractions`` has no place there."""
+    path = Path(weylrep.__file__).parent / "chevalley.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert [m for m in imported if m.split(".")[0] == "fractions"] == []
+
+
 def _bench_tracer(monkeypatch):
     """bench/tracer.py, imported from its file without writing bytecode."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -179,6 +180,56 @@ def test_table_from_json_rejects_non_int_or_zero_constants(get_rs, value):
     doc["constants"][0][2] = value
     with pytest.raises(ValueError, match="nonzero"):
         table_from_json(rs, doc)
+
+
+def _signs_only(table, pair):
+    """``table`` with the entry at ``pair`` replaced by its sign."""
+    return _with_entry(table, pair, 1 if table.n[pair] > 0 else -1)
+
+
+def test_non_integral_divided_power_fails(get_rs, get_scalars):
+    """With N(alpha_2, alpha_1 + alpha_2) = +-1 instead of +-2 in B2,
+    ad(e_2)^2 / 2 takes e_1 to half a root vector."""
+    rs = get_rs("B", 2)
+    table, _ = get_scalars("B", 2)
+    pair = (rs.simple_index[1], rs.index[(1, 1)])
+    assert abs(table.n[pair]) == 2
+    with pytest.raises(AssertionError, match="divided power"):
+        scalar_table(_signs_only(table, pair))
+
+
+def test_sign_only_entries_fail_at_a_divided_power(get_scalars):
+    """Each |N| >= 2 entry of B2, B3, C3, G2 and F4 replaced by its sign,
+    one table each: the 52 tables that change a constant some Ad(n_i)
+    reads fail at a divided power, and the other 172 build."""
+    failed = total = 0
+    for label, rank in [("B", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4)]:
+        table, _ = get_scalars(label, rank)
+        for pair in sorted(p for p, v in table.n.items() if abs(v) >= 2):
+            total += 1
+            try:
+                scalar_table(_signs_only(table, pair))
+            except AssertionError as exc:
+                assert "divided power" in str(exc), (label, rank, pair, exc)
+                failed += 1
+    assert (failed, total) == (52, 224)
+
+
+def test_constants_and_scalar_tables_make_no_fractions(get_rs, monkeypatch):
+    """Constants, ad(e) and its divided powers are all integers."""
+    types = [("E", 6), ("F", 4), ("G", 2), ("B", 3), ("C", 4)]
+    systems = [get_rs(label, rank) for label, rank in types]
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for rs in systems:
+        scalar_table(build_constants(rs))
+    assert len(made) == 0
 
 
 @pytest.mark.parametrize("label,rank", EXHAUSTIVE_TYPES)

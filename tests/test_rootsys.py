@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from weylrep import rootsys
 from weylrep.rootsys import (
     CartanError,
     cartan_datum,
@@ -63,6 +64,22 @@ def test_rejects_bad_cartan_input():
     affine_a1 = CartanDatum("A", 2, ((2, -2), (-2, 2)))
     with pytest.raises(CartanError):
         RootSystem(affine_a1)
+
+
+@pytest.mark.parametrize("label,rank", sorted(KNOWN_COUNTS))
+def test_each_build_validates_its_datum_once(label, rank, monkeypatch):
+    """One leading principal minor per rank: ``validate`` runs once per
+    build, in ``RootSystem``, not again in ``cartan_datum``."""
+    minors = []
+    real_det = rootsys.mat_det
+
+    def counting_det(m):
+        minors.append(len(m))
+        return real_det(m)
+
+    monkeypatch.setattr(rootsys, "mat_det", counting_det)
+    root_system(label, rank)
+    assert minors == list(range(1, rank + 1))
 
 
 def test_root_string_a2(get_rs):
@@ -128,10 +145,13 @@ def test_negation_and_pairing_symmetry(label, rank, get_rs):
 
 @pytest.mark.parametrize("label,rank", sorted(KNOWN_COUNTS))
 def test_norms_match_the_form(label, rank, get_rs):
-    """The root norms, built from integer pairings, agree with the Gram form."""
+    """The root norms, built from integer pairings, are ints that agree with
+    the Gram form, and the coroot coordinates are ints too."""
     rs = get_rs(label, rank)
     for k in range(rs.nroots):
+        assert type(rs.norms2[k]) is int
         assert rs.norms2[k] == rs.form(k, k)
+        assert all(type(c) is int for c in rs.coroots[k])
 
 
 @pytest.mark.parametrize("label,rank", sorted(KNOWN_COUNTS))
