@@ -48,7 +48,7 @@ class SystemContext:
 
     @cached_property
     def group(self) -> list:
-        """Every element of W, for the exhaustive element and pair sweeps."""
+        """Every element of W, for the exhaustive pair sweeps."""
         return weyl.enumerate_group(self.rs)
 
     @cached_property
@@ -64,10 +64,11 @@ class SystemContext:
 
 def _sweep_first_difference(ctx, cfg, rng):
     rs = ctx.rs
+    # one element at a time: each is dropped once checked, so W is never held
     if ctx.order <= cfg["budget"]:
-        elements, mode = ctx.group, "exhaustive"
+        elements, mode = weyl.iter_group(rs), "exhaustive"
     else:
-        elements = [weyl.random_element(rs, rng) for _ in range(cfg["samples"])]
+        elements = (weyl.random_element(rs, rng) for _ in range(cfg["samples"]))
         mode = "sampled"
     count = 0
     for w in elements:

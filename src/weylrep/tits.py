@@ -90,12 +90,14 @@ def multiply(x: TitsElement, y: TitsElement) -> TitsElement:
     steps trade the generator for a coroot bit (the exchange step),
     which is immediately pushed left through the remaining factor.
     After k letters the partial product sends the next simple root to
-    x.weyl(beta_k), where beta_k is the k-th root of y's walk.
+    x.weyl(beta_k), where beta_k is the k-th root of y's walk.  y's torus
+    part is moved left through x.weyl only when it is not zero, as in
+    every product ``cocycle`` makes.
     """
     rs = x.weyl.rs
     npos = rs.npos
     masks = rs.coroot_masks
-    mask = x.bits ^ act_bits(x.weyl, y.bits)
+    mask = x.bits ^ act_bits(x.weyl, y.bits) if y.bits else x.bits
     for img in map(x.weyl.perm.__getitem__, y.weyl.walk):
         if img < npos:
             # exchange step: the generator square appears and is pushed

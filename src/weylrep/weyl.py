@@ -16,8 +16,9 @@ the pairing is linear in both arguments, S(w) is paired with the simple
 roots only and the other roots follow up the heights; the vector of all
 pairings is kept for the last element checked, not cached per element.
 Each value is checked against the height drop read off ``perm``.
-``enumerate_group`` lists W breadth-first by length and composes only the
-moves that go up in length.
+``iter_group`` yields W breadth-first by length, one length level at a
+time, and composes only the moves that go up in length; an exhaustive
+sweep reads it element by element, and ``enumerate_group`` is its list.
 
 Sampling is uniform by construction.  ``unrank`` is a bijection from
 [0, |W|) onto W: it reads an index's mixed-radix digits as one minimal
@@ -31,6 +32,7 @@ walks, moved through the prefix already composed, give its walk.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from operator import mul
 
 from .rootsys import RootSystem
@@ -46,6 +48,7 @@ __all__ = [
     "check_flip_symmetry",
     "longest_element",
     "group_order",
+    "iter_group",
     "enumerate_group",
     "unrank",
     "random_element",
@@ -262,7 +265,9 @@ def _pairing_vector(w: WeylElement) -> list[int]:
 
 
 # the permutation and heights of the last element checked, and its pairing
-# vector; neither key refers to the RootSystem, so the memo keeps none alive
+# vector; neither key refers to the RootSystem, so the memo keeps none alive.
+# The keys are the objects, not their ids: a streamed element is freed after
+# its check, and a new permutation could reuse a freed one's address.
 _last_pairing = [None, None, None]
 
 
@@ -335,8 +340,8 @@ def group_order(rs: RootSystem) -> int:
     return _ORDERS[lbl][n]
 
 
-def enumerate_group(rs: RootSystem) -> list[WeylElement]:
-    """All elements, breadth-first by length; deterministic order.
+def iter_group(rs: RootSystem) -> Iterator[WeylElement]:
+    """Yield every element, breadth-first by length; deterministic order.
 
     Level l + 1 is built from level l alone: p s_i is composed only when
     p(alpha_i) > 0, the moves that make p longer (Humphreys, *Reflection
@@ -344,21 +349,28 @@ def enumerate_group(rs: RootSystem) -> list[WeylElement]:
     keeps each new element where it is first reached.  The order is
     that of a breadth-first search over all moves with one global
     ``seen`` set, since an element of length l + 1 is reached only from
-    level l.
+    level l.  Only the permutations of the level being yielded and of
+    the level being built are held, so a sweep that drops each element
+    after its check never holds all of W.
     """
     npos = rs.npos
     moves = tuple(zip(rs.simple_index, rs.simple_getters))
-    out = [identity(rs)]
-    level = [out[0].perm]
+    yield identity(rs)
+    level = (rs.identity_perm,)
     while level:
         nxt = {}
         for p in level:
             for s, getter in moves:
                 if p[s] >= npos:
                     nxt[getter(p)] = None
-        level = list(nxt)
-        out.extend(WeylElement(rs, x) for x in level)
-    return out
+        level = nxt
+        for x in level:
+            yield WeylElement(rs, x)
+
+
+def enumerate_group(rs: RootSystem) -> list[WeylElement]:
+    """All elements in a list, in ``iter_group``'s order."""
+    return list(iter_group(rs))
 
 
 def unrank(rs: RootSystem, n: int) -> WeylElement:

@@ -730,3 +730,59 @@ def test_first_difference_sweep_keeps_nothing_per_element():
     assert outcome == ("exhaustive", len(group) * ctx.rs.nroots, None)
     assert len(group) == 1920
     assert retained < 64 * len(group)
+
+
+# tracemalloc peaks of one first-difference sweep, in MB: when the sweep
+# held all its elements they were 0.99 (D5), 13.94 (D6), 2.94 (E7) and
+# 5.13 (E8); streamed, 0.25, 2.2, 0.23 and 0.23.  Each bound is midway.
+@pytest.mark.parametrize("system, budget, bound_mb", [
+    ("D5", 1920, 0.62), ("D6", 23_040, 8.0), ("E7", 0, 1.6), ("E8", 0, 2.7)])
+def test_first_difference_sweep_holds_no_elements(system, budget, bound_mb):
+    """The sweep checks one element at a time, exhaustive or sampled, and
+    never lists W.  The coset chain and height steps are built first, so
+    only the sweep's own allocations count."""
+    ctx = cli.SystemContext({"type": system[0], "rank": int(system[1:])})
+    ctx.rs.coset_chain, ctx.rs.height_steps
+    cfg = {**load_config(None), "budget": budget}
+    rng = random.Random(f"{cfg['seed']}/{system}/first_difference")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mode, count, witness = cli._sweep_first_difference(ctx, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    assert mode == ("exhaustive" if budget else "sampled")
+    assert count == (budget or cfg["samples"]) * ctx.rs.nroots
+    assert peak < bound_mb * 2 ** 20
+    assert "group" not in vars(ctx)
+
+
+def test_sampled_first_difference_witness_is_the_kth_draw(monkeypatch):
+    """A fault at the k-th sampled element gives that element of a list
+    drawn up front from the check's own stream."""
+    k, system = 37, "E6"
+    rs = root_system("E", 6)
+    cfg = _one_check_config([system], first_difference=True)
+    rng = random.Random(f"{cfg['seed']}/{system}/first_difference")
+    drawn = [weyl.random_element(rs, rng) for _ in range(cfg["samples"])]
+    _plant(monkeypatch, weyl, "check_first_difference",
+           (k - 1) * rs.nroots + 1, False)
+    (got,) = run_sweep(cfg)["checks"]
+    assert (got["mode"], got["passed"]) == ("sampled", False)
+    assert got["count"] == (k - 1) * rs.nroots + 1
+    assert got["counterexample"] == {"word": list(drawn[k - 1].word),
+                                     "root": list(rs.roots[0])}
+
+
+@pytest.mark.parametrize("budget, mode", [(10_000, "exhaustive"), (0, "sampled")])
+def test_first_difference_calls_match_the_report_count(monkeypatch, budget, mode):
+    """One ``check_first_difference`` call per element and root, the
+    count the benchmark's traced cross-check compares."""
+    calls = _count_calls(monkeypatch, weyl, "check_first_difference")
+    cfg = {**_one_check_config(["D4"], first_difference=True), "budget": budget}
+    (got,) = run_sweep(cfg)["checks"]
+    assert (got["mode"], got["passed"]) == (mode, True)
+    assert len(calls) == got["count"]
+    assert got["count"] == (192 if budget else cfg["samples"]) * 24

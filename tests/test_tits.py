@@ -292,3 +292,37 @@ def test_cocycle_transports_without_the_inverse(get_rs):
         u, v = (weyl.random_element(rs, rng) for _ in range(2))
         prod = multiply(canonical(u), canonical(v))
         assert cocycle(u, v) == act_bits(prod.weyl.inverse(), prod.bits)
+
+
+def _multiply_acting_on_every_mask(x, y):
+    """``multiply`` with y's torus part always moved through x.weyl."""
+    rs = x.weyl.rs
+    mask = x.bits ^ act_bits(x.weyl, y.bits)
+    for img in map(x.weyl.perm.__getitem__, y.weyl.walk):
+        if img < rs.npos:
+            mask ^= rs.coroot_masks[img]
+    return tits.TitsElement(mask, x.weyl * y.weyl)
+
+
+def test_multiply_skips_only_a_zero_mask(get_rs, monkeypatch):
+    """Skipping the action on a zero torus part changes no product, and
+    the products that ``cocycle`` makes, all with y.bits == 0, skip it."""
+    for label, rank in (("A", 3), ("B", 3), ("G", 2)):
+        rs = get_rs(label, rank)
+        rng = random.Random(f"zero-mask/{label}{rank}")
+        group = weyl.enumerate_group(rs)
+        ybits = set()
+        for u in group:
+            for v in group:
+                x = tits.TitsElement(rng.randrange(1 << rank), u)
+                y = tits.TitsElement(rng.randrange(1 << rank), v)
+                ybits.add(y.bits)
+                assert multiply(x, y) == _multiply_acting_on_every_mask(x, y)
+        assert ybits == set(range(1 << rank))
+    calls = []
+    real = tits.act_bits
+    monkeypatch.setattr(tits, "act_bits",
+                        lambda *args: calls.append(args) or real(*args))
+    group = weyl.enumerate_group(get_rs("A", 3))
+    assert all(check_cocycle_formula(u, v) for u in group for v in group)
+    assert calls == []

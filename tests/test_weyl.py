@@ -373,12 +373,15 @@ def test_coset_chain_level_sizes(get_rs):
 
 
 def _check_chain_walk(w):
-    """The walk ``unrank`` sets is that of a reduced word of w."""
+    """The walk ``unrank`` sets is that of a reduced word of w, and that
+    word is the canonical greedy word: the chain walk equals the descent
+    walk of a fresh element (ROADMAP item 1; no code relies on it yet)."""
     rs = w.rs
     assert w._walk is not None
     assert all(rs.is_positive(b) for b in w.walk)
     assert len(w.walk) == w.length
     assert frozenset(w.walk) == inversion_set(w.inverse())
+    assert w.walk == weyl.WeylElement(rs, w.perm).walk
 
 
 @pytest.mark.parametrize("label,rank", [
@@ -491,7 +494,9 @@ def _enumerate_group_oracle(rs):
 def test_enumerate_group_keeps_the_full_search_order(label, rank, get_rs):
     rs = get_rs(label, rank)
     group = enumerate_group(rs)
-    assert [w.perm for w in group] == _enumerate_group_oracle(rs)
+    oracle = _enumerate_group_oracle(rs)
+    assert [w.perm for w in group] == oracle
+    assert [w.perm for w in weyl.iter_group(rs)] == oracle
     lengths = [w.length for w in group]
     assert lengths == sorted(lengths)
 
