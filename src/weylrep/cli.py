@@ -201,6 +201,7 @@ def _sweep_fixer(ctx, cfg, rng):
     count = 0
     for lat in ctx.lattices:
         for om in affine.lattice_classes(lat, ctx.omegas):
+            signs = fixer.node_signs(rs, om, ctx.scalars)
             for q in cfg["qs"]:
                 units = fixer.UnitGroup(q - 1)
                 for _ in range(cfg["lambda_samples"]):
@@ -209,7 +210,8 @@ def _sweep_fixer(ctx, cfg, rng):
                     witness = {"lattice": lat.name, "class_node": om.class_node,
                                "q": q, "lambda": list(lam.values)}
                     try:
-                        system = fixer.build_system(rs, lat, om, lam, ctx.scalars, units)
+                        system = fixer.build_system(rs, lat, om, lam, ctx.scalars,
+                                                    units, signs)
                     except fixer.InconsistentSystemError as exc:
                         return "sampled", count, {**witness, "failure": str(exc)}
                     if fixer.solve(system) is None:

@@ -28,6 +28,7 @@ __all__ = [
     "random_functional",
     "InconsistentSystemError",
     "FixerSystem",
+    "node_signs",
     "build_system",
     "solve",
     "ConnectingCharacter",
@@ -83,22 +84,27 @@ class FixerSystem:
     targets: tuple[int, ...]  # per affine node, in Z/N
 
 
+def node_signs(rs: RootSystem, omega: OmegaElement,
+               scalars: ScalarTable) -> tuple[int, ...]:
+    """c(n_sigma, alpha_i) for every affine node i, in ``affine_nodes`` order."""
+    return tuple(c_word(scalars, omega.sigma, grad) for _, grad in affine_nodes(rs))
+
+
 def build_system(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
                  lam: GenericFunctional, scalars: ScalarTable,
-                 units: UnitGroup) -> FixerSystem:
-    """Targets lambda_i^-1 * lambda_sigma(i) * c(n_sigma, alpha_i) per node."""
+                 units: UnitGroup, signs=None) -> FixerSystem:
+    """Targets lambda_i^-1 * lambda_sigma(i) * c(n_sigma, alpha_i) per node;
+    ``signs``, the c values, depend on neither lambda nor q."""
     if len(lam.values) != rs.rank + 1:
         raise ValueError("functional length must be rank + 1")
+    if signs is None:
+        signs = node_signs(rs, omega, scalars)
     perm = omega.diagram_perm
-    sigma = omega.sigma
+    lv = lam.values
     n = units.order
-    nodes = affine_nodes(rs)
-    targets = []
-    for i, (_, grad) in enumerate(nodes):
-        c = c_word(scalars, sigma, grad)
-        t = (-lam.values[i] + lam.values[perm[i]] + units.sign_log(c)) % n
-        targets.append(t)
-    weighted = sum(m * t for (m, _), t in zip(nodes, targets)) % n
+    targets = [(-lv[i] + lv[perm[i]] + units.sign_log(c)) % n
+               for i, c in enumerate(signs)]
+    weighted = sum(m * t for (m, _), t in zip(affine_nodes(rs), targets)) % n
     if weighted != 0:
         raise InconsistentSystemError(
             f"weighted row product is {weighted} (mod {n}), not 0: "

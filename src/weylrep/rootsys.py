@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul
+from struct import calcsize
 
-from .intmat import mat_det, mat_inv
+from .intmat import mat_inv
 
 __all__ = [
     "CartanError",
@@ -120,11 +121,19 @@ class CartanDatum:
         if not _connected(m):
             raise CartanError("Cartan matrix is reducible")
         # positive-definiteness via leading principal minors of the
-        # symmetrized matrix (equivalently of the matrix itself)
-        for k in range(1, n + 1):
-            sub = [row[:k] for row in m[:k]]
-            if mat_det(sub) <= 0:
+        # symmetrized matrix (equivalently of the matrix itself), all read
+        # from one fraction-free (Bareiss) elimination: after step k the
+        # pivot is the (k + 1)-th minor, and each update divides exactly
+        # by the previous pivot
+        a = [list(row) for row in m]
+        prev = 1
+        for k, row in enumerate(a):
+            if row[k] <= 0:
                 raise CartanError("Cartan matrix is not positive definite")
+            for i in range(k + 1, n):
+                aik = a[i][k]
+                a[i] = [(row[k] * x - aik * y) // prev for x, y in zip(a[i], row)]
+            prev = row[k]
 
 
 def _connected(m) -> bool:
@@ -157,7 +166,7 @@ class RootSystem:
     sorted by (height, lexicographic coefficients), so negative roots
     occupy the first half and positive roots the second half.  Most
     tables are built with the system; ``fundamental_coweights``,
-    ``coset_chain``, ``height_steps`` and the full ``pairing`` table are
+    ``coset_chain``, ``packed_pairing`` and the full ``pairing`` table are
     built on first use.
     """
 
@@ -229,17 +238,11 @@ class RootSystem:
             for i in range(self.rank))
 
         # permutation of root indices induced by each simple reflection
-        perms = []
-        for i in range(self.rank):
-            perm = []
-            for k, r in enumerate(self.roots):
-                c = list(r)
-                c[i] -= psc[k][i]
-                perm.append(self.index[tuple(c)])
-            perms.append(tuple(perm))
-        self.simple_perms = tuple(perms)
+        self.simple_perms = tuple(
+            tuple(self.index[r[:i] + (r[i] - p[i],) + r[i + 1:]]
+                  for r, p in zip(self.roots, psc)) for i in range(self.rank))
         # simple_getters[i](perm) is perm composed with s_i on the right
-        self.simple_getters = tuple(itemgetter(*p) for p in perms)
+        self.simple_getters = tuple(itemgetter(*p) for p in self.simple_perms)
 
     def coroot_sum(self, roots) -> tuple[int, ...]:
         """sum_{b in roots} b^vee in simple-coroot coordinates.
@@ -281,43 +284,49 @@ class RootSystem:
         word keeps an element a representative, so the search reaches them
         all, each at its length, and its search word is reduced.  If
         x = s_i p, the walk of x is alpha_i followed by s_i applied to the
-        walk of p.  Built on first use, from ``simple_perms`` alone.
+        walk of p, and x itself is p's getter applied to s_i, so the one
+        getter built per representative also drives the search.  Built on
+        first use, from ``simple_perms`` alone.
         """
         npos = self.npos
+        moves = tuple(zip(self.simple_perms, self.simple_index))
         levels = []
         for k in range(1, self.rank + 1):
             smaller = self.simple_index[:k - 1]
-            found = [self.identity_perm]
-            walks = {found[0]: ()}
-            for p in found:
-                for s, a in zip(self.simple_perms[:k], self.simple_index):
-                    x = tuple(map(s.__getitem__, p))
-                    if x not in walks and all(x[j] >= npos for j in smaller):
-                        walks[x] = (a, *map(s.__getitem__, walks[p]))
-                        found.append(x)
-            levels.append(tuple((itemgetter(*p), walks[p]) for p in found))
+            found = [(itemgetter(*self.identity_perm), ())]
+            seen = {self.identity_perm}
+            for getter, walk in found:
+                for s, a in moves[:k]:
+                    x = getter(s)
+                    if x not in seen and all(x[j] >= npos for j in smaller):
+                        seen.add(x)
+                        found.append((itemgetter(*x), (a, *[s[b] for b in walk])))
+            levels.append(tuple(found))
         return tuple(levels)
 
     @cached_property
-    def height_steps(self) -> tuple[tuple[int, int, int], ...]:
-        """``(k, parent, i)`` with root_k = root_parent + alpha_i (i 0-based).
-
-        One step for each positive non-simple root k, in index order, so a
-        parent, being lower, always comes before its child: a function
-        that is linear in the root is filled in up the heights from its
-        values on the simple roots.  Built on first use.
+    def packed_pairing(self) -> tuple[str, int, tuple[int, ...], int, tuple[int, ...]]:
+        """``(fmt, nbytes, limits, bias, columns)``: field a of ``columns[i]``
+        holds <root_a, alpha_i^vee> as a signed ``fmt`` int, so field a of
+        sum_i s_i * columns[i] is <root_a, s>.  Adding ``bias`` (the top bit
+        of every field) stops borrows between fields; XOR with it gives two's
+        complement fields for ``memoryview.cast(fmt)``.  An inversion-set sum
+        has 0 <= s_i <= (2 rho^vee)_i, so the field holds 4 times the bound
+        max_a sum_i |<root_a, alpha_i^vee>| (2 rho^vee)_i, and every field is
+        exact while each |s_i| <= ``limits[i]``.  Built on first use.
         """
-        steps = []
-        for k in self.positive_indices():
-            r = self.roots[k]
-            if sum(r) == 1:
-                continue
-            for i in range(self.rank):
-                lower = r[:i] + (r[i] - 1,) + r[i + 1:]
-                if r[i] and lower in self.index:
-                    steps.append((k, self.index[lower], i))
-                    break
-        return tuple(steps)
+        bound = max(sum(abs(c) * r for c, r in zip(row, self.rho_check_twice))
+                    for row in self._psc)
+        for fmt in "bhiq":
+            width = 8 * calcsize(fmt)
+            headroom = (2 ** (width - 1) - 1) // bound
+            if headroom >= 4:
+                break
+        bias = sum(1 << (width * a + width - 1) for a in range(self.nroots))
+        columns = tuple(sum(row[i] << (width * a) for a, row in enumerate(self._psc))
+                        for i in range(self.rank))
+        limits = tuple(headroom * r for r in self.rho_check_twice)
+        return fmt, self.nroots * width // 8, limits, bias, columns
 
     # -- basic queries ------------------------------------------------
 
@@ -387,23 +396,14 @@ def root_string(rs: RootSystem, a: int, b: int) -> tuple[int, int]:
         raise ValueError("root string undefined for b proportional to a")
     va = rs.roots[a]
     vb = rs.roots[b]
-    p = 0
-    probe = list(vb)
-    while True:
-        probe = [x + y for x, y in zip(probe, va)]
-        if tuple(probe) in rs.index:
-            p += 1
-        else:
-            break
-    q = 0
-    probe = list(vb)
-    while True:
-        probe = [x - y for x, y in zip(probe, va)]
-        if tuple(probe) in rs.index:
-            q += 1
-        else:
-            break
-    return p, q
+
+    def reach(step: int) -> int:
+        n = 0
+        while tuple(x + (n + 1) * step * y for x, y in zip(vb, va)) in rs.index:
+            n += 1
+        return n
+
+    return reach(1), reach(-1)
 
 
 def rootsys_to_json(rs: RootSystem) -> dict:

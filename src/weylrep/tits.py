@@ -29,9 +29,10 @@ reduced word of y, so the Weyl part of the product is x.weyl * y.weyl:
 
 This is still the honest group law: each step applies the defining
 relation of one generator, and only the bookkeeping of the partial
-product is replaced.  As a set the walk roots are the inversion set of
-y^-1, but they come from a walk along a word, never from
-``inversion_set`` or ``flip_set``.
+product is replaced: a step is one index into x's permutation, and the
+product adds one composition of root permutations, ``x.weyl * y.weyl``.
+As a set the walk roots are the inversion set of y^-1, but they come
+from a walk along a word, never from ``inversion_set`` or ``flip_set``.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def multiply(x: TitsElement, y: TitsElement) -> TitsElement:
     npos = rs.npos
     masks = rs.coroot_masks
     mask = x.bits ^ act_bits(x.weyl, y.bits) if y.bits else x.bits
-    for img in map(x.weyl.perm.__getitem__, y.weyl.walk):
+    p = x.weyl.perm
+    for b in y.weyl.walk:
+        img = p[b]
         if img < npos:
             # exchange step: the generator square appears and is pushed
             # left, where it becomes the coroot of -img; signs vanish mod 2

@@ -3,19 +3,22 @@
 Elements carry a canonical reduced word (greedy smallest-descent
 extraction, so equal permutations always yield equal words) and the walk
 roots of a reduced word, and act on roots through precomputed
-simple-reflection permutation tables.  An unranked element gets its walk
-from the coset chain that builds it; any other element gets the roots
-that the descent walk extracting its canonical word visits.  The
-sign-flip machinery lives here: inversion sets, the two-step flip set
-``flip_set(u, v)`` of positive roots sent negative by ``v`` and back to
-positive by ``u``, and the coroot-sum functionals built on it.
+simple-reflection permutation tables.  Permutations compose in C:
+``u * v`` is ``operator.itemgetter(*v.perm)(u.perm)``.  An unranked
+element gets its walk from the coset chain that builds it; any other
+element gets the roots that the descent walk extracting its canonical
+word visits.  The sign-flip machinery lives here: inversion sets, the
+two-step flip set ``flip_set(u, v)`` of positive roots sent negative by
+``v`` and back to positive by ``u``, and the coroot-sum functionals
+built on it.
 
 The first difference at a root a pairs a with the inversion-set coroot
-sum S(w) = sum_{b in inv(w)} b^vee, which ``inversion_set`` gives.  Since
-the pairing is linear in both arguments, S(w) is paired with the simple
-roots only and the other roots follow up the heights; the vector of all
-pairings is kept for the last element checked, not cached per element.
-Each value is checked against the height drop read off ``perm``.
+sum S(w) = sum_{b in inv(w)} b^vee, which ``inversion_set`` gives.  The
+pairing is linear in S(w), so one packed integer product pairs S(w)
+with every root at once (``RootSystem.packed_pairing``); the vector of
+all pairings is kept for the last element checked, not cached per
+element.  Each value is checked against the height drop read off
+``perm``.
 ``iter_group`` yields W breadth-first by length, one length level at a
 time, and composes only the moves that go up in length; an exhaustive
 sweep reads it element by element, and ``enumerate_group`` is its list.
@@ -33,7 +36,9 @@ walks, moved through the prefix already composed, give its walk.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from operator import mul
+from math import factorial
+from operator import itemgetter, le, mul
+from sys import byteorder
 
 from .rootsys import RootSystem
 
@@ -81,8 +86,7 @@ class WeylElement:
         return self._hash
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        p = self.perm
-        return WeylElement(self.rs, tuple(map(p.__getitem__, other.perm)))
+        return WeylElement(self.rs, itemgetter(*other.perm)(self.perm))
 
     def apply_simple(self, i: int) -> int:
         """Image root index of alpha_i (1-based)."""
@@ -176,12 +180,9 @@ class WeylElement:
         return self.rs.coroot_sum(inversion_set(self))
 
     def order(self) -> int:
-        n = 1
-        x = self
-        ident = identity(self.rs)
-        while x != ident:
-            x = x * self
-            n += 1
+        n, x = 1, self
+        while not x.is_identity():
+            x, n = x * self, n + 1
         return n
 
     def __repr__(self) -> str:
@@ -244,24 +245,16 @@ def flip_functional(u: WeylElement, v: WeylElement, a: int) -> int:
 
 
 def _pairing_vector(w: WeylElement) -> list[int]:
-    """L[a] = <root_a, S(w)> for every root a, with S(w) = ``w.coroot_sum``.
-
-    Rank dot products give t_i = <alpha_i, S(w)>; by linearity each
-    positive non-simple root adds one t_i to its parent's value along
-    ``rs.height_steps``, and L(-a) = -L(a).
-    """
-    rs = w.rs
+    """L[a] = <root_a, S(w)> for every root a, with S(w) = ``w.coroot_sum``,
+    from one packed product (``RootSystem.packed_pairing``).  A coordinate
+    of S(w) past the range where every field is exact raises
+    ``AssertionError``, so no field aliases into its neighbour."""
     s = w.coroot_sum
-    psc = rs._psc
-    t = [sum(map(mul, psc[k], s)) for k in rs.simple_index]
-    vec = [0] * rs.nroots
-    for k, ti in zip(rs.simple_index, t):
-        vec[k] = ti
-    for k, parent, i in rs.height_steps:
-        vec[k] = vec[parent] + t[i]
-    # negation reverses the root order: neg[k] == nroots - 1 - k
-    vec[:rs.npos] = [-x for x in reversed(vec[rs.npos:])]
-    return vec
+    fmt, nbytes, limits, bias, columns = w.rs.packed_pairing
+    if not all(map(le, map(abs, s), limits)):
+        raise AssertionError(f"coroot sum {s} is past the packed range")
+    packed = sum(map(mul, s, columns), bias) ^ bias
+    return memoryview(packed.to_bytes(nbytes, byteorder)).cast(fmt).tolist()
 
 
 # the permutation and heights of the last element checked, and its pairing
@@ -292,7 +285,12 @@ def check_first_difference(w: WeylElement, a: int) -> bool:
 
 
 def check_flip_symmetry(w: WeylElement) -> bool:
-    """w^2 carries flip_set(w, w) onto flip_set(w^-1, w^-1)."""
+    """w^2 carries flip_set(w, w) onto flip_set(w^-1, w^-1).
+
+    Both sides are {b > 0 : w^-1(b) < 0, w^-2(b) > 0} for any bijection
+    w of the roots, so the identity says nothing about the root system:
+    it tests ``__mul__`` and ``inverse``, the operations it relies on.
+    """
     w2 = w * w
     lhs = frozenset(w2.perm[k] for k in flip_set(w, w))
     wi = w.inverse()
@@ -315,28 +313,16 @@ def longest_element(rs: RootSystem, nodes=None) -> WeylElement:
         x = x * simple_reflection(rs, i)
 
 
-_ORDERS = {"A": None, "B": None, "C": None, "D": None,
-           "E": {6: 51840, 7: 2903040, 8: 696729600},
-           "F": {4: 1152}, "G": {2: 12}}
+_ORDERS = {"E": {6: 51840, 7: 2903040, 8: 696729600}, "F": {4: 1152},
+           "G": {2: 12}}
 
 
 def group_order(rs: RootSystem) -> int:
     lbl, n = rs.datum.type_label, rs.rank
     if lbl == "A":
-        out = 1
-        for k in range(2, n + 2):
-            out *= k
-        return out
-    if lbl in ("B", "C"):
-        out = 2 ** n
-        for k in range(2, n + 1):
-            out *= k
-        return out
-    if lbl == "D":
-        out = 2 ** (n - 1)
-        for k in range(2, n + 1):
-            out *= k
-        return out
+        return factorial(n + 1)
+    if lbl in ("B", "C", "D"):
+        return 2 ** (n - (lbl == "D")) * factorial(n)
     return _ORDERS[lbl][n]
 
 
@@ -395,7 +381,7 @@ def unrank(rs: RootSystem, n: int) -> WeylElement:
     for level in reversed(rs.coset_chain):
         n, digit = divmod(n, len(level))
         getter, cwalk = level[digit]
-        walk.extend(map(perm.__getitem__, cwalk))
+        walk += [perm[b] for b in cwalk]
         perm = getter(perm)
     w = WeylElement(rs, perm)
     if len(walk) != w.length:

@@ -672,6 +672,50 @@ def test_sampled_first_difference_catches_a_planted_fault(monkeypatch, system,
     assert holds(weyl.from_word(rs, witness["word"]), hi)
 
 
+@pytest.mark.parametrize("system, budget", [("A3", 10_000), ("E6", 0)])
+def test_flip_symmetry_catches_a_planted_inverse_fault(monkeypatch, system,
+                                                       budget):
+    """The flip-symmetry branch can fire: an ``inverse`` that returns w
+    itself fails ``first_difference`` after the failing element's roots,
+    with a word that replays under the fault and passes without it."""
+    rs = root_system(system[0], int(system[1:]))
+    monkeypatch.setattr(weyl.WeylElement, "inverse", lambda w: w)
+    cfg = {**_one_check_config([system], first_difference=True), "budget": budget}
+    (got,) = run_sweep(cfg)["checks"]
+    assert (got["mode"], got["passed"]) == \
+        ("exhaustive" if budget else "sampled", False)
+    assert got["count"] % rs.nroots == 0
+    witness = got["counterexample"]
+    assert witness["failure"] == "flip symmetry"
+    w = weyl.from_word(rs, witness["word"])
+    assert not weyl.check_flip_symmetry(w)
+    if budget:  # the first element, in sweep order, that the fault breaks
+        group = weyl.enumerate_group(rs)
+        k = got["count"] // rs.nroots - 1
+        assert group[k] == w
+        assert all(weyl.check_flip_symmetry(x) for x in group[:k])
+    monkeypatch.undo()
+    assert weyl.check_flip_symmetry(weyl.from_word(rs, witness["word"]))
+
+
+def test_fixer_sweep_reads_each_class_scalar_once(monkeypatch):
+    """One ``c_word`` per affine node of each (lattice, class), however
+    many functionals and fields the class is swept with."""
+    calls = _count_calls(monkeypatch, chevalley, "c_word")
+    builds = _count_calls(monkeypatch, fixer, "build_system")
+    systems = ["A3", "D5", "G2"]
+    report = run_sweep(_one_check_config(systems, fixer=True))
+    assert report["status"] == "pass"
+    expected = 0
+    for name in systems:
+        rs = root_system(name[0], int(name[1:]))
+        omegas = affine.omega_group(rs, affine.adjoint_lattice(rs))
+        expected += sum(len(affine.lattice_classes(lat, omegas))
+                        for lat in affine.all_lattices(rs)) * (rs.rank + 1)
+    assert len(calls) == expected
+    assert len(builds) == sum(c["count"] for c in report["checks"]) > 10 * expected
+
+
 @pytest.mark.parametrize("system, budgets", [
     ("E6", {}), ("A3", {"budget": 0, "pair_budget": 0})])
 def test_sampled_cocycle_catches_a_planted_fault(monkeypatch, system, budgets):
@@ -739,10 +783,10 @@ def test_first_difference_sweep_keeps_nothing_per_element():
     ("D5", 1920, 0.62), ("D6", 23_040, 8.0), ("E7", 0, 1.6), ("E8", 0, 2.7)])
 def test_first_difference_sweep_holds_no_elements(system, budget, bound_mb):
     """The sweep checks one element at a time, exhaustive or sampled, and
-    never lists W.  The coset chain and height steps are built first, so
-    only the sweep's own allocations count."""
+    never lists W.  The coset chain and packed pairing table are built
+    first, so only the sweep's own allocations count."""
     ctx = cli.SystemContext({"type": system[0], "rank": int(system[1:])})
-    ctx.rs.coset_chain, ctx.rs.height_steps
+    ctx.rs.coset_chain, ctx.rs.packed_pairing
     cfg = {**load_config(None), "budget": budget}
     rng = random.Random(f"{cfg['seed']}/{system}/first_difference")
     gc.collect()

@@ -22,6 +22,7 @@ from weylrep.fixer import (
     UnitGroup,
     build_system,
     connecting_character,
+    node_signs,
     obstruction,
     random_functional,
     solve,
@@ -72,6 +73,24 @@ def test_row_product_redundancy(get_rs, get_scalars):
                 system = build_system(rs, lat, om, lam, scalars, units)
                 acc = sum(m * t for m, t in zip(mk, system.targets))
                 assert acc % units.order == 0
+
+
+def test_passed_node_signs_give_the_same_system(get_rs, get_scalars):
+    """``build_system`` with a class's ``node_signs`` returns what it
+    returns when it reads the scalars itself."""
+    rng = random.Random(16)
+    for label, rank in (("A", 3), ("D", 5), ("E", 6)):
+        rs = get_rs(label, rank)
+        _, scalars = get_scalars(label, rank)
+        for lat in all_lattices(rs):
+            for om in omega_group(rs, lat):
+                signs = node_signs(rs, om, scalars)
+                assert set(signs) <= {1, -1} and len(signs) == rank + 1
+                for q in QS:
+                    units = units_for(q)
+                    lam = random_functional(rng, units, rs.rank)
+                    assert build_system(rs, lat, om, lam, scalars, units, signs) == \
+                        build_system(rs, lat, om, lam, scalars, units)
 
 
 def test_adjoint_system_always_solvable_with_unique_witness(get_rs,

@@ -1,11 +1,14 @@
 import json
 import pathlib
+import random
 
 import pytest
 
-from weylrep import rootsys
+from weylrep import intmat, rootsys
 from weylrep.rootsys import (
+    CartanDatum,
     CartanError,
+    RootSystem,
     cartan_datum,
     root_string,
     root_system,
@@ -68,18 +71,79 @@ def test_rejects_bad_cartan_input():
 
 @pytest.mark.parametrize("label,rank", sorted(KNOWN_COUNTS))
 def test_each_build_validates_its_datum_once(label, rank, monkeypatch):
-    """One leading principal minor per rank: ``validate`` runs once per
-    build, in ``RootSystem``, not again in ``cartan_datum``."""
-    minors = []
-    real_det = rootsys.mat_det
+    """``validate`` runs once per build, in ``RootSystem``, not again in
+    ``cartan_datum``."""
+    validated = []
+    real = rootsys.CartanDatum.validate
 
-    def counting_det(m):
-        minors.append(len(m))
-        return real_det(m)
+    def counting(datum):
+        validated.append(datum.rank)
+        return real(datum)
 
-    monkeypatch.setattr(rootsys, "mat_det", counting_det)
+    monkeypatch.setattr(rootsys.CartanDatum, "validate", counting)
     root_system(label, rank)
-    assert minors == list(range(1, rank + 1))
+    assert validated == [rank]
+
+
+def _minors_verdict(m):
+    """The old route: positive definite iff every leading principal minor,
+    each an exact ``Fraction`` determinant, is positive."""
+    return all(intmat.mat_det([row[:k] for row in m[:k]]) > 0
+               for k in range(1, len(m) + 1))
+
+
+def _bareiss_verdict(m):
+    try:
+        CartanDatum("X", len(m), tuple(map(tuple, m))).validate()
+    except CartanError as exc:
+        assert str(exc) == "Cartan matrix is not positive definite"
+        return False
+    return True
+
+
+TYPES_TO_RANK_8 = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                   + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+                   + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("label,rank", TYPES_TO_RANK_8)
+def test_bareiss_minors_give_the_old_verdict_on_every_type(label, rank):
+    m = cartan_datum(label, rank).cartan_matrix
+    assert _minors_verdict(m) and _bareiss_verdict(m)
+
+
+@pytest.mark.parametrize("m, minors", [
+    # affine A2~: minors 2, 3, 0
+    (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (2, 3, 0)),
+    # an A2~ graph with a double edge: minors 2, 3, -8
+    (((2, -1, -1), (-1, 2, -2), (-1, -2, 2)), (2, 3, -8)),
+])
+def test_bareiss_minors_reject_what_the_old_route_rejects(m, minors):
+    assert [intmat.mat_det([row[:k] for row in m[:k]])
+            for k in (1, 2, 3)] == list(minors)
+    assert not _minors_verdict(m) and not _bareiss_verdict(m)
+    with pytest.raises(CartanError, match="^Cartan matrix is not positive definite$"):
+        RootSystem(CartanDatum("A", 3, m))
+
+
+def test_bareiss_minors_agree_on_random_cartan_like_matrices():
+    """Random connected matrices with a symmetric zero pattern, the ones
+    that reach the minors: both routes give the same verdict, and both
+    verdicts occur."""
+    rng = random.Random(20240901)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if j == i + 1 or rng.random() < 0.2:
+                    m[i][j] = rng.choice((-1, -1, -2, -3))
+                    m[j][i] = rng.choice((-1, -1, -1, -2, -3))
+        verdict = _minors_verdict(m)
+        assert _bareiss_verdict(m) == verdict
+        seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_root_string_a2(get_rs):

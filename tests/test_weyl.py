@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import math
 import random
 from operator import mul
@@ -501,28 +503,117 @@ def test_enumerate_group_keeps_the_full_search_order(label, rank, get_rs):
     assert lengths == sorted(lengths)
 
 
-@pytest.mark.parametrize("label,rank", SMALL_TYPES + [("E", 7), ("E", 8)])
-def test_height_steps_climb_every_positive_root(label, rank, get_rs):
-    rs = get_rs(label, rank)
-    assert rs.neg == tuple(reversed(range(rs.nroots)))
-    steps = rs.height_steps
-    assert [k for k, _, _ in steps] == [
-        k for k in rs.positive_indices() if k not in rs.simple_index]
-    for k, parent, i in steps:
-        assert rs.is_positive(parent) and parent < k
-        assert rs.roots[k] == tuple(c + (j == i)
-                                    for j, c in enumerate(rs.roots[parent]))
+def _dot_product_pairings(rs, s):
+    """The oracle: <root_a, s> as one dot product per root."""
+    return [sum(map(mul, rs._psc[a], s)) for a in range(rs.nroots)]
 
 
-@pytest.mark.parametrize("label,rank",
-                         [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4),
-                          ("G", 2)])
+# every type whose group the default budget sweeps in full
+@pytest.mark.parametrize("label,rank", [
+    t for t in SMALL_TYPES if math.prod(_degrees(*t)) <= 10_000])
 def test_pairing_vector_matches_the_dot_product(label, rank, get_rs):
     rs = get_rs(label, rank)
     for w in enumerate_group(rs):
-        s = w.coroot_sum
-        assert weyl._pairing_vector(w) == [sum(map(mul, rs._psc[a], s))
-                                           for a in range(rs.nroots)]
+        assert weyl._pairing_vector(w) == _dot_product_pairings(rs, w.coroot_sum)
+
+
+@pytest.mark.parametrize("label,rank", [("E", 8), ("B", 8), ("A", 20)])
+def test_pairing_vector_matches_the_dot_product_on_draws(label, rank):
+    rs = root_system(label, rank)
+    rng = random.Random(f"packed-pairing/{label}{rank}")
+    for _ in range(200):
+        w = weyl.random_element(rs, rng)
+        assert weyl._pairing_vector(w) == _dot_product_pairings(rs, w.coroot_sum)
+
+
+def test_packed_field_width_comes_from_the_system(get_rs):
+    """The field holds four times the largest pairing of an inversion-set
+    sum: 8 bits for A3, 16 for A20, whose 2 rho^vee reaches 110."""
+    widths = {}
+    for label, rank in [("A", 3), ("A", 20)]:
+        rs = root_system(label, rank)
+        fmt, nbytes, limits, _, columns = rs.packed_pairing
+        widths[label, rank] = nbytes // rs.nroots
+        bound = max(sum(abs(c) * r for c, r in zip(row, rs.rho_check_twice))
+                    for row in rs._psc)
+        bits = 8 * widths[label, rank]
+        assert 4 * bound < 2 ** (bits - 1)
+        assert bits == 8 or 4 * bound >= 2 ** (bits // 2 - 1)  # half is too narrow
+        assert all(lim >= 4 * r for lim, r in zip(limits, rs.rho_check_twice))
+        assert len(columns) == rank
+    assert widths == {("A", 3): 1, ("A", 20): 2}
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2), ("A", 20)])
+def test_packed_pairing_is_exact_to_its_limits_and_raises_past_them(
+        label, rank, monkeypatch):
+    """At the limits, with the signs that make each field as large as it
+    gets, every field is exact; one past a limit raises instead of
+    aliasing into the next field."""
+    rs = root_system(label, rank)
+    limits = rs.packed_pairing[2]
+    held = []
+    monkeypatch.setattr(weyl.WeylElement, "coroot_sum", property(lambda w: held[0]))
+    w = identity(rs)
+    for row in rs._psc:
+        for sign in (1, -1):
+            held[:] = [tuple(sign * (1 if c >= 0 else -1) * lim
+                             for c, lim in zip(row, limits))]
+            assert weyl._pairing_vector(w) == _dot_product_pairings(rs, held[0])
+    for i in range(rank):
+        for past in (limits[i] + 1, -limits[i] - 1):
+            held[:] = [tuple(past if j == i else 0 for j in range(rank))]
+            with pytest.raises(AssertionError, match="past the packed range"):
+                weyl._pairing_vector(w)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_composition_is_u_after_v_on_every_pair(label, rank, get_rs):
+    rs = get_rs(label, rank)
+    group = enumerate_group(rs)
+    for u in group:
+        for v in group:
+            uv = (u * v).perm
+            assert type(uv) is tuple
+            assert all(uv[k] == u.perm[v.perm[k]] for k in range(rs.nroots))
+
+
+def test_composition_is_u_after_v_on_sampled_e8_pairs(get_rs):
+    rs = get_rs("E", 8)
+    rng = random.Random("compose/E8")
+    for _ in range(500):
+        u, v = weyl.random_element(rs, rng), weyl.random_element(rs, rng)
+        uv = (u * v).perm
+        assert all(uv[k] == u.perm[v.perm[k]] for k in range(rs.nroots))
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+# Pinned before the chain search and ``unrank`` composed with itemgetter.
+CHAIN_PINS = {
+    ("E", 7): ("abcfbacbf003773dc9353f11f66eebeae1f2c7c8bcfae7313d618e1d99a91eef",
+               "1dc3abcbefae02fcfa83409e184fe03b4ca7fa9d8d3415d65ee4c23d4f6d0321"),
+    ("E", 8): ("ed34453e282e44795d4ee66cb5a969fe018a776777844e3a782fe2aec3709f30",
+               "c363cedcc32293cb7a9276b5c30e8d94d2c164eb0aef0299e90e565dceaaf95b"),
+}
+
+
+@pytest.mark.parametrize("label,rank", sorted(CHAIN_PINS))
+def test_coset_chain_and_unrank_match_their_pins(label, rank, get_rs):
+    """Each chain getter applied to the identity and each chain walk, and
+    ``unrank``'s permutation and walk at 32 fixed indices."""
+    rs = get_rs(label, rank)
+    ident = rs.identity_perm
+    chain = [[[list(getter(ident)), list(walk)] for getter, walk in level]
+             for level in rs.coset_chain]
+    order = group_order(rs)
+    indices = [0, 1, 2, 1000, order // 3, order // 2, order - 2, order - 1] + \
+        [k * 2654435761 % order for k in range(1, 25)]
+    unranked = [[list(w.perm), list(w.walk)]
+                for w in (unrank(rs, n) for n in indices)]
+    assert (_digest(chain), _digest(unranked)) == CHAIN_PINS[label, rank]
 
 
 def test_first_difference_memo_follows_the_element(get_rs):
