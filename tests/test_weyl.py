@@ -503,6 +503,31 @@ def test_enumerate_group_keeps_the_full_search_order(label, rank, get_rs):
     assert lengths == sorted(lengths)
 
 
+@pytest.mark.parametrize("label,rank", SMALL_TYPES + [("E", 7), ("E", 8)])
+def test_height_steps_climb_every_positive_root(label, rank, get_rs):
+    """The root order is by height: negation reverses it, and every positive
+    non-simple root is a lower positive root plus one simple root, so the
+    positive roots are exactly the indices from ``npos`` on."""
+    rs = get_rs(label, rank)
+    assert rs.neg == tuple(reversed(range(rs.nroots)))
+    assert list(rs.positive_indices()) == [
+        k for k in range(rs.nroots) if all(c >= 0 for c in rs.roots[k])]
+    assert sorted(rs.simple_index) == list(range(rs.npos, rs.npos + rs.rank))
+    for k in rs.positive_indices():
+        if k in rs.simple_index:
+            continue
+        r = rs.roots[k]
+        steps = [(rs.index[r[:i] + (r[i] - 1,) + r[i + 1:]], i)
+                 for i in range(rs.rank)
+                 if r[i] and r[:i] + (r[i] - 1,) + r[i + 1:] in rs.index]
+        assert steps
+        for parent, i in steps:
+            assert rs.is_positive(parent) and parent < k
+            assert rs.heights[parent] == rs.heights[k] - 1
+            assert rs.roots[k] == tuple(c + (j == i)
+                                        for j, c in enumerate(rs.roots[parent]))
+
+
 def _dot_product_pairings(rs, s):
     """The oracle: <root_a, s> as one dot product per root."""
     return [sum(map(mul, rs._psc[a], s)) for a in range(rs.nroots)]
