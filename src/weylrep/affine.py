@@ -11,9 +11,8 @@ affine nodes with the right marks and orbit size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import prod
 from operator import mul
 
 from . import intmat
@@ -54,18 +53,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CocharLattice:
-    """A lattice between Q^vee and P^vee, by a basis in simple-coroot coords.
+    """A lattice Y between Q^vee and P^vee, in fundamental-coweight coords.
 
-    ``pairing[i][k]`` is the integer <alpha_i, basis_k>, and
-    ``pairing_row0[k]`` is <-theta, basis_k>, the row of the affine node
-    alpha_0 = delta - theta.  The lattice is factored once: ``basis_inv``
-    and ``pairing_row0`` are kept from construction, and ``pairing_snf``
-    is built on first use.
+    Coordinate i of y is <alpha_i, y>, so P^vee is Z^rank, the fundamental
+    coweight varpi_j^vee is the unit vector e_j, and the simple coroot
+    alpha_j^vee is row j of the Cartan matrix.  ``basis`` is the Hermite
+    row basis of Y, integer and canonical; ``pairing[i][k]`` is
+    <alpha_i, basis_k>, its transpose, and ``pairing_row0[k]`` is
+    <-theta, basis_k>, the row of the affine node alpha_0 = delta - theta.
+    The lattice is factored once: ``pairing_row0`` is kept from
+    construction, and ``pairing_snf`` is built on first use.
     """
 
     name: str
-    basis: tuple[tuple[Fraction, ...], ...]
-    basis_inv: tuple[tuple[Fraction, ...], ...]  # rows: simple coroots in this basis
+    basis: tuple[tuple[int, ...], ...]
     index_in_coroot: int  # order of (this lattice) / Q^vee
     pairing: tuple[tuple[int, ...], ...]
     pairing_row0: tuple[int, ...]
@@ -76,31 +77,26 @@ class CocharLattice:
         return intmat.smith_normal_form(self.pairing)
 
 
-def _make_lattice(rs: RootSystem, name: str, rows) -> CocharLattice:
-    basis = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    det = intmat.mat_det([list(r) for r in basis])
-    if det == 0:
-        raise ValueError("lattice basis is singular")
-    index = Fraction(1) / abs(det)
-    if index.denominator != 1:
-        raise ValueError("basis does not contain the coroot lattice with finite index")
-    binv = tuple(map(tuple, intmat.mat_inv(basis)))
-    for row in binv:  # Q^vee inside: e_i in integer span of basis
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise ValueError(f"{name}: coroot lattice not contained")
-    cartan = rs.datum.cartan_matrix
-    rank = rs.rank
-    pairing = [[sum(basis[k][j] * cartan[j][i] for j in range(rank))
-                for k in range(rank)] for i in range(rank)]
-    for row in pairing:  # inside P^vee: pairings with simple roots integral
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError(f"{name}: not contained in the coweight lattice")
-    pairing = tuple(tuple(int(x) for x in row) for row in pairing)
+def _pivot_product(rows) -> int:
+    """|det| of a square Hermite basis: its pivots lie on the diagonal."""
+    return prod(row[i] for i, row in enumerate(rows))
+
+
+def _make_lattice(rs: RootSystem, name: str, extra_rows=()) -> CocharLattice:
+    """Q^vee, spanned by the rows of the Cartan matrix, together with
+    ``extra_rows``, integer rows in coweight coordinates."""
+    for row in extra_rows:
+        if any(x.denominator != 1 for x in row):
+            raise ValueError(f"{name}: not contained in the coweight lattice")
+    coroots = intmat.hermite_row_basis(rs.datum.cartan_matrix)
+    rows = intmat.hermite_row_basis(coroots + [list(r) for r in extra_rows])
+    index, rem = divmod(_pivot_product(coroots), _pivot_product(rows))
+    if rem:
+        raise ValueError(f"{name}: coroot lattice not contained")
+    basis = tuple(map(tuple, rows))
     theta = rs.roots[rs.highest_root]
-    row0 = tuple(-sum(map(mul, theta, col)) for col in zip(*pairing))
-    return CocharLattice(name, basis, binv, int(index), pairing, row0)
+    row0 = tuple(-sum(map(mul, theta, row)) for row in basis)
+    return CocharLattice(name, basis, index, tuple(zip(*basis)), row0)
 
 
 def marks(rs: RootSystem) -> tuple[int, ...]:
@@ -113,35 +109,25 @@ def minuscule_nodes(rs: RootSystem) -> tuple[int, ...]:
     return tuple(i + 1 for i, m in enumerate(marks(rs)) if m == 1)
 
 
+def _unit(rs: RootSystem, node: int) -> tuple[int, ...]:
+    """The fundamental coweight of a 1-based node."""
+    return tuple(int(i == node - 1) for i in range(rs.rank))
+
+
 def simply_connected_lattice(rs: RootSystem) -> CocharLattice:
-    eye = [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
-    return _make_lattice(rs, "simply-connected", eye)
+    return _make_lattice(rs, "simply-connected")
 
 
 def adjoint_lattice(rs: RootSystem) -> CocharLattice:
-    return _make_lattice(rs, "adjoint", rs.fundamental_coweights)
-
-
-def _span_with(rs: RootSystem, name: str, extra_rows) -> CocharLattice:
-    """Lattice generated by Q^vee together with the given rational rows."""
-    rows = [[Fraction(int(i == j)) for j in range(rs.rank)] for i in range(rs.rank)]
-    rows += [[Fraction(x) for x in r] for r in extra_rows]
-    return _make_lattice(rs, name, _hermite_rows(rows))
-
-
-def _hermite_rows(rows) -> list[list[Fraction]]:
-    """Hermite row basis of the lattice spanned by rational rows."""
-    denom = lcm(*(x.denominator for r in rows for x in r))
-    scaled = [[int(x * denom) for x in r] for r in rows]
-    return [[Fraction(x, denom) for x in r] for r in intmat.hermite_row_basis(scaled)]
+    return _make_lattice(rs, "adjoint",
+                         [_unit(rs, j) for j in range(1, rs.rank + 1)])
 
 
 def vector_lattice(rs: RootSystem) -> CocharLattice:
     """Type D: coroot lattice extended by the first fundamental coweight."""
     if rs.datum.type_label != "D":
         raise ValueError("vector lattice only defined for type D")
-    cw = rs.fundamental_coweights
-    return _span_with(rs, "SO", [cw[0]])
+    return _make_lattice(rs, "SO", [_unit(rs, 1)])
 
 
 def half_spin_lattice(rs: RootSystem, node: int) -> CocharLattice:
@@ -150,8 +136,7 @@ def half_spin_lattice(rs: RootSystem, node: int) -> CocharLattice:
         raise ValueError("half-spin lattices require type D of even rank")
     if node not in (rs.rank - 1, rs.rank):
         raise ValueError("spin node must be rank-1 or rank")
-    cw = rs.fundamental_coweights
-    return _span_with(rs, f"half-spin-{node}", [cw[node - 1]])
+    return _make_lattice(rs, f"half-spin-{node}", [_unit(rs, node)])
 
 
 def type_a_quotient_lattice(rs: RootSystem, m: int) -> CocharLattice:
@@ -161,9 +146,8 @@ def type_a_quotient_lattice(rs: RootSystem, m: int) -> CocharLattice:
     n = rs.rank + 1
     if n % m != 0:
         raise ValueError(f"{m} does not divide {n}")
-    cw = rs.fundamental_coweights
-    gen = [x * (n // m) for x in cw[0]]
-    return _span_with(rs, f"SL{n}/mu{m}", [gen])
+    gen = [x * (n // m) for x in _unit(rs, 1)]
+    return _make_lattice(rs, f"SL{n}/mu{m}", [gen])
 
 
 def all_lattices(rs: RootSystem) -> tuple[CocharLattice, ...]:
@@ -192,11 +176,15 @@ def all_lattices(rs: RootSystem) -> tuple[CocharLattice, ...]:
 
 
 def lattice_contains(lat: CocharLattice, vec) -> bool:
-    """Membership of a rational coweight (simple-coroot coords)."""
-    binv = lat.basis_inv
-    coords = [sum(Fraction(vec[j]) * binv[j][k] for j in range(len(vec)))
-              for k in range(len(vec))]
-    return all(c.denominator == 1 for c in coords)
+    """Membership of an integer coweight (fundamental-coweight coords):
+    reduce it by the Hermite rows, pivot by pivot, down to zero."""
+    vec = list(vec)
+    for i, row in enumerate(lat.basis):
+        f, rem = divmod(vec[i], row[i])
+        if rem:
+            return False
+        vec = [x - f * y for x, y in zip(vec, row)]
+    return True
 
 
 # -- alcove stabilizer -------------------------------------------------
@@ -207,12 +195,13 @@ class OmegaElement:
     """One class of (lattice)/Q^vee with its finite-Weyl projection.
 
     ``class_node`` is the minuscule node representing the class (None for
-    the identity class), ``class_rep`` the corresponding coweight, and
+    the identity class), ``class_rep`` its fundamental coweight, the int
+    unit vector e_node in coweight coordinates (zero for the identity), and
     ``diagram_perm`` the induced permutation of the affine nodes 0..rank.
     """
 
     class_node: int | None
-    class_rep: tuple[Fraction, ...]
+    class_rep: tuple[int, ...]
     sigma: WeylElement
     diagram_perm: tuple[int, ...]
 
@@ -269,19 +258,17 @@ def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
     stabilizer acts simply transitively on the special nodes, these
     checks and the class count pin every projection uniquely.
     """
-    zero = tuple(Fraction(0) for _ in range(rs.rank))
-    ident = OmegaElement(None, zero, weyl_identity(rs),
+    ident = OmegaElement(None, (0,) * rs.rank, weyl_identity(rs),
                          tuple(range(rs.rank + 1)))
     out = [ident]
-    cw = rs.fundamental_coweights
     w0 = longest_element(rs)
     for node in minuscule_nodes(rs):
-        rep = cw[node - 1]
+        rep = _unit(rs, node)
         if not lattice_contains(lat, rep):
             continue
         sigma, perm = _sigma_for_node(rs, node, w0)
         _verify_omega(rs, node, sigma, perm)
-        out.append(OmegaElement(node, tuple(rep), sigma, perm))
+        out.append(OmegaElement(node, rep, sigma, perm))
     return _counted(lat, out)
 
 

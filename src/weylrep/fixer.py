@@ -13,7 +13,6 @@ stabilizer projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -132,32 +131,29 @@ def solve(system: FixerSystem):
 
 @dataclass(frozen=True)
 class ConnectingCharacter:
-    """Simple-root coefficients (mod d) of a character of the big torus
-    killing the small torus's points modulo d-th powers."""
+    """Simple-root coefficients (mod d) of a character of the adjoint
+    torus killing the small torus's points modulo d-th powers."""
 
     coeffs: tuple[int, ...]
     d: int
 
 
-def connecting_character(rs: RootSystem, small: CocharLattice,
-                         big: CocharLattice) -> ConnectingCharacter:
-    """Character presentation of the boundary map for small inside big.
+def connecting_character(rs: RootSystem,
+                         small: CocharLattice) -> ConnectingCharacter:
+    """Character presentation of the boundary map for small inside P^vee.
 
-    Diagonalizes the inclusion by Smith normal form: in the adapted
-    basis f_1..f_rank of the big lattice, the small one is spanned by
-    d_k f_k, and the sought character is dual to the last f (the one
-    with d_k = d).  The result is normalized to the lexicographically
-    smallest unit multiple mod d, since the lattice model determines the
-    boundary map only up to an automorphism of Z/d.
+    In coweight coordinates the basis of P^vee is the unit vectors, so
+    the inclusion matrix is ``small.basis`` itself.  Its Smith form
+    u * basis * v = diag(d_k) gives the adapted basis f_k = rows of v^-1
+    of P^vee, with the small lattice spanned by the d_k f_k, and the
+    sought character is dual to the last f (the one with d_k = d): its
+    simple-root coefficients are the last column of v.  The result is
+    normalized to the lexicographically smallest unit multiple mod d,
+    since the lattice model determines the boundary map only up to an
+    automorphism of Z/d.
     """
     rank = rs.rank
-    c = intmat.mat_mul(small.basis, big.basis_inv)
-    for row in c:
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise ValueError("small lattice is not contained in the big one")
-    c = [[int(x) for x in row] for row in c]
-    d_mat, _, v = intmat.smith_normal_form(c)
+    d_mat, _, v = intmat.smith_normal_form(small.basis)
     diag = [d_mat[i][i] for i in range(rank)]
     nontrivial = [x for x in diag if x != 1]
     if not nontrivial:
@@ -165,16 +161,7 @@ def connecting_character(rs: RootSystem, small: CocharLattice,
     if len(nontrivial) > 1:
         raise ValueError(f"quotient is not cyclic: invariant factors {diag}")
     d = nontrivial[0]
-    # the adapted basis is v^-1 * big basis, so the character dual to its
-    # last vector f is (last column of v) * big.pairing^-1
-    p_inv = intmat.mat_inv(big.pairing)
-    coeffs = []
-    for i in range(rank):
-        x = sum(v[k][rank - 1] * p_inv[k][i] for k in range(rank))
-        if Fraction(x).denominator != 1:
-            raise ValueError("boundary character is not a root-lattice element; "
-                             "the big lattice must be the coweight lattice")
-        coeffs.append(int(x) % d)
+    coeffs = [row[rank - 1] % d for row in v]
     best = None
     for u in range(1, d):
         if gcd(u, d) != 1:
@@ -212,15 +199,14 @@ def obstruction(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
     and the adjoint lattice contains every class.
     """
     adj = adjoint_lattice(rs)
-    chi = connecting_character(rs, lat, adj)
+    chi = connecting_character(rs, lat)
     n = units.order
     witness = solve(build_system(rs, adj, omega, lam, scalars, units))
     if witness is None:
         raise AssertionError("adjoint system unexpectedly unsolvable")
-    val = 0
-    for i in range(rs.rank):
-        val += chi.coeffs[i] * sum(adj.pairing[i][k] * witness[k]
-                                   for k in range(rs.rank))
+    # the adjoint basis is the unit vectors, so the witness holds the
+    # pairings <alpha_i, t> that the character's coefficients weigh
+    val = sum(map(mul, chi.coeffs, witness))
     modulus = gcd(chi.d, n)
     return ObstructionClass(val % modulus if modulus > 1 else 0,
                             max(modulus, 1), chi.d)

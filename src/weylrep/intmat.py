@@ -1,11 +1,14 @@
-"""Small exact linear algebra: integer normal forms and rational inverses.
+"""Small exact linear algebra: integer normal forms and modular solves.
 
 Everything here operates on lists of lists; matrices are tiny (rank of a
 root system), so clarity beats asymptotics.  Callers that solve many
 systems with one matrix factor it once: ``solve_mod`` takes a Smith form
 from ``smith_normal_form`` (a cocharacter lattice holds the one of its
 pairing matrix), and still checks every solution it returns against the
-original matrix.
+original matrix.  ``hermite_row_basis`` gives the canonical basis that
+cocharacter lattices are stored in.  The rational helpers ``mat_mul``,
+``mat_det`` and ``mat_inv`` are not exported: nothing in the package
+calls them, and the tests use them as the ``Fraction`` oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ __all__ = [
     "smith_normal_form",
     "solve_mod",
     "hermite_row_basis",
-    "mat_inv",
-    "mat_mul",
-    "mat_det",
 ]
 
 
@@ -143,8 +143,10 @@ def solve_mod(m, snf, b, n: int):
 def hermite_row_basis(rows):
     """Row-style Hermite basis of the lattice spanned by integer rows.
 
-    Returns the nonzero rows of an upper-triangular-ish canonical basis;
-    input rows may be redundant.
+    Returns the nonzero rows of the canonical echelon basis: each pivot is
+    positive, and every entry above a pivot lies in [0, pivot).  Input
+    rows may be redundant; two generating sets of one lattice give the
+    same basis.
     """
     work = [list(r) for r in rows if any(r)]
     if not work:
@@ -177,8 +179,10 @@ def hermite_row_basis(rows):
         basis.append(p)
         work = rest
         pivot_col += 1
-    # reduce entries above each pivot for a canonical result
-    for i in reversed(range(len(basis))):
+    # reduce entries above each pivot for a canonical result, in pivot
+    # order: row i is zero left of its pivot, so it leaves the columns of
+    # the earlier pivots as they were reduced
+    for i in range(len(basis)):
         pc = next(j for j, x in enumerate(basis[i]) if x != 0)
         for k in range(i):
             f = basis[k][pc] // basis[i][pc]

@@ -15,8 +15,6 @@ from functools import cached_property
 from operator import itemgetter, mul
 from struct import calcsize
 
-from .intmat import mat_inv
-
 __all__ = [
     "CartanError",
     "CartanDatum",
@@ -165,9 +163,8 @@ class RootSystem:
     Immutable after construction.  Roots are indexed into a single list
     sorted by (height, lexicographic coefficients), so negative roots
     occupy the first half and positive roots the second half.  Most
-    tables are built with the system; ``fundamental_coweights``,
-    ``coset_chain``, ``packed_pairing`` and the full ``pairing`` table are
-    built on first use.
+    tables are built with the system; ``coset_chain``, ``packed_pairing``
+    and the full ``pairing`` table are built on first use.
     """
 
     def __init__(self, datum: CartanDatum):
@@ -260,12 +257,6 @@ class RootSystem:
         ``rootsys_to_json``; the checks pair through ``coroot_sum``."""
         co = self.coroots
         return tuple(tuple(sum(map(mul, p, c)) for c in co) for p in self._psc)
-
-    @cached_property
-    def fundamental_coweights(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Rows are the fundamental coweights in simple-coroot coordinates:
-        the inverse Cartan matrix, built on first use."""
-        return tuple(map(tuple, mat_inv(self.datum.cartan_matrix)))
 
     @cached_property
     def coset_chain(self) -> tuple[tuple[tuple[itemgetter, tuple[int, ...]], ...], ...]:

@@ -229,8 +229,7 @@ def test_criterion_8_fixer_solvability(get_rs, get_scalars):
                         ok = ok and witness is not None
                         solved += 1
     rs = get_rs("A", 2)
-    cc = connecting_character(rs, affine.simply_connected_lattice(rs),
-                              adjoint_lattice(rs))
+    cc = connecting_character(rs, affine.simply_connected_lattice(rs))
     ok = ok and cc == ConnectingCharacter((1, 2), 3)
     _verdict(8, ok, f"solvability grid: {solved}/{solved} systems "
                     f"solved with verified witnesses; PGL3 connecting "

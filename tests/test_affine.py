@@ -57,14 +57,27 @@ def _subgroup_count(label, rank):
                          [("C", r) for r in range(2, 10)] +
                          [("D", r) for r in range(3, 13)] +
                          [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
-def test_all_lattices_are_pairwise_distinct(label, rank, get_rs):
+def test_all_lattices_are_pairwise_distinct(label, rank, get_rs,
+                                            get_fraction_lattices):
     """One lattice per subgroup of P^vee / Q^vee, no two with the same
-    Hermite form, so none is listed twice."""
+    Hermite form, so none is listed twice.  Each is the Fraction route's
+    lattice: its simple-coroot basis mapped through C has the same
+    Hermite form, and both give the same index and the same classes."""
     rs = get_rs(label, rank)
     lats = all_lattices(rs)
     assert len(lats) == _subgroup_count(label, rank)
-    forms = {tuple(map(tuple, affine._hermite_rows(lat.basis))) for lat in lats}
-    assert len(forms) == len(lats)
+    assert len({lat.basis for lat in lats}) == len(lats)
+    olds = get_fraction_lattices(label, rank)
+    assert [old.name for old in olds] == [lat.name for lat in lats]
+    cartan = rs.datum.cartan_matrix
+    cw = intmat.mat_inv(cartan)  # fundamental coweights, simple-coroot coords
+    group = omega_group(rs, adjoint_lattice(rs))
+    for lat, old in zip(lats, olds):
+        mapped = [[int(x) for x in row] for row in intmat.mat_mul(old.basis, cartan)]
+        assert intmat.hermite_row_basis(mapped) == [list(row) for row in lat.basis]
+        assert lat.index_in_coroot == old.index_in_coroot
+        assert [om.class_node for om in lattice_classes(lat, group)] == \
+            [None] + [j for j in minuscule_nodes(rs) if old.contains(cw[j - 1])]
 
 
 def test_lattice_indices_divide_connection_index(get_rs):
@@ -93,14 +106,28 @@ def test_lattice_classes_are_the_lattice_omega_group(label, rank, get_rs):
 
 
 @pytest.mark.parametrize("label, rank", LATTICE_TYPES)
-def test_lattices_hold_their_inverse_basis(label, rank, get_rs):
+def test_lattices_hold_their_inverse_basis(label, rank, get_rs,
+                                           get_fraction_lattices):
+    """What the Fraction route reads from its held inverse basis, in
+    integers: each basis is a canonical Hermite basis, Q^vee lies inside
+    (every simple coroot, a row of C, reduces to zero on it) as the
+    inverse's integral rows say, each vector of the old basis mapped
+    through C is a member, and each fundamental coweight is a member
+    exactly when the old inverse says so."""
     rs = get_rs(label, rank)
-    eye = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    for lat in all_lattices(rs):
-        assert intmat.mat_mul(lat.basis, lat.basis_inv) == eye
-    cw = rs.fundamental_coweights
-    assert cw is rs.fundamental_coweights
-    assert intmat.mat_mul(cw, rs.datum.cartan_matrix) == eye
+    cartan = rs.datum.cartan_matrix
+    olds = get_fraction_lattices(label, rank)
+    cw = intmat.mat_inv(cartan)  # fundamental coweights, simple-coroot coords
+    units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    for lat, old in zip(all_lattices(rs), olds):
+        assert all(type(x) is int for row in lat.basis for x in row)
+        assert intmat.hermite_row_basis(lat.basis) == [list(r) for r in lat.basis]
+        assert all(x.denominator == 1 for row in old.basis_inv for x in row)
+        assert all(affine.lattice_contains(lat, row) for row in cartan)
+        for row in intmat.mat_mul(old.basis, cartan):
+            assert affine.lattice_contains(lat, [int(x) for x in row])
+        assert [affine.lattice_contains(lat, e) for e in units] == \
+            [old.contains(row) for row in cw]
 
 
 def test_minuscule_nodes(get_rs):
@@ -363,16 +390,22 @@ def test_e7_involution_flip_sum_is_coxeter_number(get_rs):
     assert flip_sum_at_r(rs, invol.sigma) == 18
 
 
-def test_class_representatives_live_in_their_lattice(get_rs):
+def test_class_representatives_live_in_their_lattice(get_rs,
+                                                    get_fraction_lattices):
+    """Each class representative is the int unit vector e_node, the
+    fundamental coweight, and lies in its lattice by both routes."""
     rs = get_rs("D", 4)
-    for lat in all_lattices(rs):
+    cw = intmat.mat_inv(rs.datum.cartan_matrix)  # simple-coroot coords
+    for lat, old in zip(all_lattices(rs), get_fraction_lattices("D", 4)):
         for om in omega_group(rs, lat):
+            assert all(type(x) is int for x in om.class_rep)
             if om.class_node is not None:
                 assert affine.lattice_contains(lat, om.class_rep)
-                assert om.class_rep == \
-                    rs.fundamental_coweights[om.class_node - 1]
+                assert old.contains(cw[om.class_node - 1])
+                assert om.class_rep == tuple(int(i == om.class_node - 1)
+                                             for i in range(rs.rank))
             else:
-                assert om.class_rep == (Fraction(0),) * rs.rank
+                assert om.class_rep == (0,) * rs.rank
 
 
 PAIRING_TYPES = ([("A", n) for n in range(1, 8)] + [("B", n) for n in (2, 3, 4)]
@@ -381,20 +414,22 @@ PAIRING_TYPES = ([("A", n) for n in range(1, 8)] + [("B", n) for n in (2, 3, 4)]
 
 
 @pytest.mark.parametrize("label,rank", PAIRING_TYPES)
-def test_lattice_pairing_matches_fraction_oracle(label, rank, get_rs):
-    """pairing[i][k] = <alpha_i, basis_k>, summed in Fractions per entry."""
+def test_lattice_pairing_matches_fraction_oracle(label, rank, get_rs,
+                                                 get_fraction_lattices):
+    """pairing[i][k] = <alpha_i, basis_k> is the transpose of the basis,
+    and its rows span what the Fraction route's pairing spans: the
+    Hermite form of the old pairing's columns is the basis."""
     rs = get_rs(label, rank)
-    cartan = rs.datum.cartan_matrix
-    for lat in all_lattices(rs):
-        oracle = [[sum(Fraction(lat.basis[k][j]) * cartan[j][i]
-                       for j in range(rank)) for k in range(rank)]
-                  for i in range(rank)]
-        assert [list(row) for row in lat.pairing] == oracle
+    for lat, old in zip(all_lattices(rs), get_fraction_lattices(label, rank)):
+        assert lat.pairing == tuple(zip(*lat.basis))
         assert all(type(x) is int for row in lat.pairing for x in row)
+        assert intmat.hermite_row_basis(list(zip(*old.pairing))) == \
+            [list(row) for row in lat.basis]
 
 
 def test_fractional_pairing_is_rejected(get_rs):
-    """A1 with basis alpha^vee / 4 contains Q^vee but not in P^vee."""
+    """A1 with the extra row varpi^vee / 4 contains Q^vee but does not
+    lie in P^vee."""
     with pytest.raises(ValueError, match="coweight lattice"):
         affine._make_lattice(get_rs("A", 1), "quarter", [[Fraction(1, 4)]])
 

@@ -50,10 +50,13 @@ def test_public_names_have_callers(name):
     assert [x for x in exported if x not in used] == []
 
 
-def test_chevalley_does_not_import_fractions():
-    """The Chevalley layer is integral: its constants, ad(e) and the divided
-    powers of ad(e) are ints, so ``fractions`` has no place there."""
-    path = Path(weylrep.__file__).parent / "chevalley.py"
+@pytest.mark.parametrize("module", ["chevalley", "affine", "fixer"])
+def test_module_does_not_import_fractions(module):
+    """These layers are integral: the Chevalley constants, ad(e) and its
+    divided powers are ints, and so are the cocharacter lattices, in
+    fundamental-coweight coordinates, and their connecting characters;
+    ``fractions`` has no place there."""
+    path = Path(weylrep.__file__).parent / f"{module}.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):

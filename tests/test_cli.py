@@ -388,19 +388,18 @@ def test_each_table_is_built_once_per_system(monkeypatch):
 
 def test_each_lattice_is_factored_once(monkeypatch):
     """D6 and A7 have 5 and 4 lattices, with 60 solves per class: one
-    Smith form per lattice, and one inverse per lattice built (its basis)
-    or system (its Cartan matrix)."""
+    Smith form per lattice, none more for membership, and no inverse at
+    all: lattices are integer Hermite bases in coweight coordinates."""
     swept = sum(len(affine.all_lattices(root_system(*s))) for s in
                 (("D", 6), ("A", 7)))
     snfs = _count_calls(monkeypatch, intmat, "smith_normal_form")
     invs = _count_calls(monkeypatch, intmat, "mat_inv")
-    made = _count_calls(monkeypatch, affine, "_make_lattice")
     solves = _count_calls(monkeypatch, fixer, "solve")
     report = run_sweep(_one_check_config(["D6", "A7"], fixer=True))
     assert report["status"] == "pass"
     assert (swept, len(solves)) == (9, 660 + 900)
     assert len(snfs) == swept
-    assert len(invs) <= len(made) + 2
+    assert len(invs) == 0
 
 
 def _plant(monkeypatch, module, name, nth, outcome):

@@ -63,6 +63,54 @@ def test_hermite_row_basis_canonicalizes():
     a = hermite_row_basis([[3, 1], [1, 2]])
     b = hermite_row_basis([[1, 2], [3, 1], [4, 3]])
     assert a == b
+    # reduced in pivot order: reducing the first row by the second (pivot
+    # 2) after the third (pivot 4) would move its last entry to -1
+    assert hermite_row_basis([[1, 2, 0], [0, 2, 1], [0, 0, 4]]) == \
+        hermite_row_basis([[1, 0, 3], [0, 2, 1], [0, 0, 4]]) == \
+        [[1, 0, 3], [0, 2, 1], [0, 0, 4]]
+
+
+@st.composite
+def generators_and_a_mix(draw):
+    """Integer rows, and the same lattice's rows after a random sequence
+    of unimodular row operations: adding a multiple of one row to
+    another, swapping two rows, negating one."""
+    cols = draw(st.integers(min_value=2, max_value=5))
+    rows = draw(st.lists(st.lists(st.integers(min_value=-12, max_value=12),
+                                  min_size=cols, max_size=cols),
+                         min_size=1, max_size=cols + 2))
+    mixed = [list(r) for r in rows]
+    n = len(mixed)
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            f = draw(st.integers(min_value=-3, max_value=3))
+            mixed[i] = [x + f * y for x, y in zip(mixed[i], mixed[j])]
+        elif op == "swap":
+            mixed[i], mixed[j] = mixed[j], mixed[i]
+        elif op == "negate":
+            mixed[i] = [-x for x in mixed[i]]
+    return rows, mixed
+
+
+@given(generators_and_a_mix())
+@settings(max_examples=500, deadline=None)
+def test_hermite_row_basis_is_canonical(case):
+    """Two generating sets of one lattice give the same basis: positive
+    pivots in echelon form, and every entry above a pivot in [0, pivot)."""
+    rows, mixed = case
+    basis = hermite_row_basis(rows)
+    assert hermite_row_basis(mixed) == basis
+    pivots = [next(j for j, x in enumerate(r) if x) for r in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, pc) in enumerate(zip(basis, pivots)):
+        assert row[pc] > 0
+        assert all(0 <= basis[k][pc] < row[pc] for k in range(i))
+    # the basis spans the rows: appending them changes nothing
+    assert hermite_row_basis(basis + rows) == basis
+
 
 
 @given(st.lists(st.lists(st.integers(min_value=-5, max_value=5),
