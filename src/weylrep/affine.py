@@ -2,10 +2,13 @@
 
 A cocharacter lattice sits between the coroot lattice and the coweight
 lattice; its finite quotient by the coroot lattice indexes the stabilizer
-of the fundamental alcove.  The finite projection of the class of a
+of the fundamental alcove.  ``omega_group`` lists the classes of
+P^vee / Q^vee once per system; the finite projection of the class of a
 minuscule node j is the closed form sigma_j = w_0^{S - {j}} w_0
 (Bourbaki, Lie Groups and Lie Algebras, VI.2.3), verified to permute the
-affine nodes with the right marks and orbit size.
+affine nodes with the right marks and orbit size.  ``lattice_classes``
+picks a lattice's classes from it, and each class builds its R/S
+partition once.
 """
 
 from __future__ import annotations
@@ -77,20 +80,16 @@ class CocharLattice:
         return intmat.smith_normal_form(self.pairing)
 
 
-def _pivot_product(rows) -> int:
-    """|det| of a square Hermite basis: its pivots lie on the diagonal."""
-    return prod(row[i] for i, row in enumerate(rows))
-
-
 def _make_lattice(rs: RootSystem, name: str, extra_rows=()) -> CocharLattice:
     """Q^vee, spanned by the rows of the Cartan matrix, together with
     ``extra_rows``, integer rows in coweight coordinates."""
     for row in extra_rows:
         if any(x.denominator != 1 for x in row):
             raise ValueError(f"{name}: not contained in the coweight lattice")
-    coroots = intmat.hermite_row_basis(rs.datum.cartan_matrix)
-    rows = intmat.hermite_row_basis(coroots + [list(r) for r in extra_rows])
-    index, rem = divmod(_pivot_product(coroots), _pivot_product(rows))
+    rows = intmat.hermite_row_basis([*rs.datum.cartan_matrix, *extra_rows])
+    # |P^vee / Q^vee| = det C, and the square Hermite basis has its pivots
+    # on the diagonal, so their product is |P^vee / Y|
+    index, rem = divmod(rs.cartan_det, prod(row[i] for i, row in enumerate(rows)))
     if rem:
         raise ValueError(f"{name}: coroot lattice not contained")
     basis = tuple(map(tuple, rows))
@@ -208,6 +207,11 @@ class OmegaElement:
     def order(self) -> int:
         return _perm_order(self.diagram_perm)
 
+    @cached_property
+    def partition(self) -> SigmaRSDatum:
+        """``sigma_rs(self)``, built once; a failure is raised on every read."""
+        return sigma_rs(self)
+
 
 def _perm_order(perm) -> int:
     n = 1
@@ -239,53 +243,43 @@ def diagram_permutation(rs: RootSystem, w: WeylElement) -> tuple[int, ...] | Non
     return tuple(perm)
 
 
-def _sigma_for_node(rs: RootSystem, node: int, w0: WeylElement):
-    """sigma_j = w_0^{S - {j}} w_0 for a minuscule node j, with the
-    affine-node permutation it induces (None if it induces none)."""
-    rest = [i for i in range(1, rs.rank + 1) if i != node]
-    sigma = longest_element(rs, rest) * w0
-    return sigma, diagram_permutation(rs, sigma)
-
-
-def omega_group(rs: RootSystem, lat: CocharLattice) -> tuple[OmegaElement, ...]:
-    """One element per class of lat / Q^vee.
+def omega_group(rs: RootSystem) -> tuple[OmegaElement, ...]:
+    """One element per class of P^vee / Q^vee, the adjoint lattice's.
 
     Nonzero classes are represented by the minuscule fundamental
-    coweights lying in the lattice; each projection is post-verified to
-    permute the affine simple gradients with the right marks and orbit
-    size, and the pairing conditions that make the affine transformation
-    an alcove stabilizer are checked exactly.  Since W's image of the
-    stabilizer acts simply transitively on the special nodes, these
-    checks and the class count pin every projection uniquely.
+    coweights; each projection is post-verified to permute the affine
+    simple gradients with the right marks and orbit size, and the
+    pairing conditions that make the affine transformation an alcove
+    stabilizer are checked exactly.  Since W's image of the stabilizer
+    acts simply transitively on the special nodes, these checks and the
+    class count, det C, pin every projection uniquely.
     """
     ident = OmegaElement(None, (0,) * rs.rank, weyl_identity(rs),
                          tuple(range(rs.rank + 1)))
     out = [ident]
     w0 = longest_element(rs)
     for node in minuscule_nodes(rs):
-        rep = _unit(rs, node)
-        if not lattice_contains(lat, rep):
-            continue
-        sigma, perm = _sigma_for_node(rs, node, w0)
+        rest = [i for i in range(1, rs.rank + 1) if i != node]
+        sigma = longest_element(rs, rest) * w0  # sigma_j = w_0^{S - {j}} w_0
+        perm = diagram_permutation(rs, sigma)
         _verify_omega(rs, node, sigma, perm)
-        out.append(OmegaElement(node, rep, sigma, perm))
-    return _counted(lat, out)
+        out.append(OmegaElement(node, _unit(rs, node), sigma, perm))
+    return _counted("adjoint", out, rs.cartan_det)
 
 
 def lattice_classes(lat: CocharLattice,
                     group: tuple[OmegaElement, ...]) -> tuple[OmegaElement, ...]:
-    """The classes of ``group``, the adjoint lattice's ``omega_group``,
-    that lie in ``lat``: ``omega_group`` of ``lat``, in the same order,
-    without building and verifying the projections again."""
-    return _counted(lat, [om for om in group
-                          if lattice_contains(lat, om.class_rep)])
+    """The classes of ``group``, the system's ``omega_group``, that lie
+    in ``lat``, in the same order: one per class of lat / Q^vee."""
+    return _counted(lat.name, [om for om in group
+                               if lattice_contains(lat, om.class_rep)],
+                    lat.index_in_coroot)
 
 
-def _counted(lat: CocharLattice, classes) -> tuple[OmegaElement, ...]:
-    if len(classes) != lat.index_in_coroot:
+def _counted(name: str, classes, index: int) -> tuple[OmegaElement, ...]:
+    if len(classes) != index:
         raise AssertionError(
-            f"{lat.name}: found {len(classes)} classes, lattice index is "
-            f"{lat.index_in_coroot}")
+            f"{name}: found {len(classes)} classes, lattice index is {index}")
     return tuple(classes)
 
 
@@ -326,21 +320,21 @@ class SigmaRSDatum:
     fiber_sizes: tuple[int, int, int]
 
 
-def sigma_rs(rs: RootSystem, w: WeylElement) -> SigmaRSDatum:
+def sigma_rs(om: OmegaElement) -> SigmaRSDatum:
     """Partition positive roots by their R- and S-coefficients.
 
-    Requires w to permute the affine gradients with order at least 3;
-    for order <= 2 the flip set is the full inversion set and the
-    first-difference identity already covers it.
+    Requires a class of order at least 3; for order <= 2 the flip set is
+    the full inversion set and the first-difference identity already
+    covers it.  The class's diagram permutation sends R to node 0 and S
+    to R.  Read it through ``om.partition``, which builds it once.
     """
-    perm = diagram_permutation(rs, w)
-    if perm is None:
-        raise ValueError("w does not permute the affine simple gradients")
-    order = _perm_order(perm)
+    order = om.order()
     if order < 3:
         raise ValueError(f"|w| = {order} < 3: no R/S partition exists")
-    r_node = next(j for j in range(1, rs.rank + 1) if perm[j] == 0)
-    s_node = next(j for j in range(1, rs.rank + 1) if perm[j] == r_node)
+    w, perm = om.sigma, om.diagram_perm
+    rs = w.rs
+    r_node = perm.index(0)
+    s_node = perm.index(r_node)
     r_root = rs.simple_index[r_node - 1]
     s_root = rs.simple_index[s_node - 1]
     if w.perm[s_root] != r_root or w.perm[r_root] != rs.neg[rs.highest_root]:
@@ -423,36 +417,25 @@ def check_second_difference(datum: SigmaRSDatum, a: int) -> bool:
     return h * fw == rhs
 
 
-def _r_root_of(rs: RootSystem, w: WeylElement) -> int:
-    perm = diagram_permutation(rs, w)
-    if perm is None:
-        raise ValueError("w does not permute the affine simple gradients")
-    if _perm_order(perm) < 2:
+def flip_sum_at_r(om: OmegaElement) -> int:
+    """F_w at the simple root R sent to the lowest root by w = om.sigma."""
+    if om.order() < 2:
         raise ValueError("identity projection has no distinguished simple root")
-    r_node = next(j for j in range(1, rs.rank + 1) if perm[j] == 0)
-    return rs.simple_index[r_node - 1]
+    w = om.sigma
+    return flip_functional(w, w, w.rs.simple_index[om.diagram_perm.index(0) - 1])
 
 
-def flip_sum_at_r(rs: RootSystem, w: WeylElement) -> int:
-    """F_w at the simple root R sent to the lowest root by w."""
-    return flip_functional(w, w, _r_root_of(rs, w))
-
-
-def check_flip_sum_even(rs: RootSystem, w: WeylElement) -> bool:
+def check_flip_sum_even(om: OmegaElement) -> bool:
     """F_w(R) lands in 2Z; cross-computed per the order of w.
 
     Involutions flip their whole inversion set, so F_w(R) equals the
     height drop 1 - (1 - h) = h there; higher orders go through the
     R/S partition where the cleared identity forces 2 * (third fiber).
     """
-    val = flip_sum_at_r(rs, w)
-    perm = diagram_permutation(rs, w)
-    order = _perm_order(perm)
-    if order == 2:
-        if val != rs.coxeter_number:
+    val = flip_sum_at_r(om)
+    if om.order() == 2:
+        if val != om.sigma.rs.coxeter_number:
             raise AssertionError("involution flip sum differs from the Coxeter number")
-    else:
-        datum = sigma_rs(rs, w)
-        if val != 2 * datum.fiber_sizes[2]:
-            raise AssertionError("flip sum differs from twice the fiber size")
+    elif val != 2 * om.partition.fiber_sizes[2]:
+        raise AssertionError("flip sum differs from twice the fiber size")
     return val % 2 == 0

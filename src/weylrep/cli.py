@@ -53,8 +53,8 @@ class SystemContext:
 
     @cached_property
     def omegas(self) -> tuple:
-        """The alcove-stabilizer group of the adjoint lattice."""
-        return affine.omega_group(self.rs, affine.adjoint_lattice(self.rs))
+        """The alcove-stabilizer group of P^vee, the adjoint lattice."""
+        return affine.omega_group(self.rs)
 
     @cached_property
     def scalars(self) -> chevalley.ScalarTable:
@@ -113,10 +113,10 @@ def _sweep_second_difference(ctx, cfg, rng):
     count = 0
     for om in _eligible_omegas(ctx, 2):
         try:  # both assert the R/S structure they derive
-            if not affine.check_flip_sum_even(rs, om.sigma):
+            if not affine.check_flip_sum_even(om):
                 return "exhaustive", count, {"class_node": om.class_node,
                                              "failure": "parity"}
-            datum = affine.sigma_rs(rs, om.sigma) if om.order() >= 3 else None
+            datum = om.partition if om.order() >= 3 else None
         except AssertionError as exc:
             return "exhaustive", count, {"class_node": om.class_node,
                                          "failure": str(exc)}
@@ -135,7 +135,7 @@ def _sweep_fibers(ctx, cfg, rng):
     count = 0
     for om in _eligible_omegas(ctx, 3):
         try:
-            datum = affine.sigma_rs(rs, om.sigma)  # asserts constant fibers
+            datum = om.partition  # asserts constant fibers
         except AssertionError as exc:
             return "exhaustive", count, {"class_node": om.class_node,
                                          "failure": str(exc)}
@@ -284,6 +284,13 @@ def _validate(cfg: dict) -> None:
                 and type(d.get("rank")) is int for d in defs):
             raise ConfigError(f"{key} must be a list of objects with a string "
                               f"type and an int rank, got {defs!r}")
+        allowed = ("type", "rank", "node") if key == "tables" else ("type", "rank")
+        for d in defs:
+            unknown = [k for k in d if k not in allowed]
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r} in {key} entry {d!r}")
+            if type(d.get("node", 0)) is not int:
+                raise ConfigError(f"tables node must be an int, got {d['node']!r}")
     for key in ("seed", "budget", "pair_budget", "samples", "lambda_samples"):
         val = cfg[key]
         if type(val) is not int or val < 0:
@@ -394,17 +401,17 @@ def cocycle_table_doc(rs, budget: int) -> dict:
 def emit_table_doc(rs, node=None, group=None) -> dict:
     """The additive-triple table: rows are the (1,0) part, columns the
     (0,1) part, cells the sums landing in the (1,1) part.  ``group`` is
-    the adjoint alcove-stabilizer group, built here when not given."""
+    the system's alcove-stabilizer group, built here when not given."""
     if group is None:
-        group = affine.omega_group(rs, affine.adjoint_lattice(rs))
+        group = affine.omega_group(rs)
     cands = [om for om in group if om.order() >= 3 and
              (node is None or om.class_node == node)]
     if not cands:
         raise ConfigError(
             f"{rs.datum.type_label}{rs.rank}: no stabilizer projection of "
-            f"order >= 3" + (f" with node {node}" if node else ""))
+            f"order >= 3" + (f" with node {node}" if node is not None else ""))
     om = cands[0]
-    datum = affine.sigma_rs(rs, om.sigma)
+    datum = om.partition
     rows = sorted(datum.parts[2])
     cols = sorted(datum.parts[1])
     bysum = {(b, a): g for a, b, g in datum.triples}

@@ -103,7 +103,8 @@ class CartanDatum:
     rank: int
     cartan_matrix: tuple[tuple[int, ...], ...]
 
-    def validate(self) -> None:
+    def validate(self) -> int:
+        """Raise ``CartanError`` unless C is a Cartan matrix; return det C."""
         m = self.cartan_matrix
         n = self.rank
         if n < 1 or len(m) != n or any(len(row) != n for row in m):
@@ -122,7 +123,7 @@ class CartanDatum:
         # symmetrized matrix (equivalently of the matrix itself), all read
         # from one fraction-free (Bareiss) elimination: after step k the
         # pivot is the (k + 1)-th minor, and each update divides exactly
-        # by the previous pivot
+        # by the previous pivot, so the last pivot is det C
         a = [list(row) for row in m]
         prev = 1
         for k, row in enumerate(a):
@@ -132,6 +133,7 @@ class CartanDatum:
                 aik = a[i][k]
                 a[i] = [(row[k] * x - aik * y) // prev for x, y in zip(a[i], row)]
             prev = row[k]
+        return prev
 
 
 def _connected(m) -> bool:
@@ -168,7 +170,7 @@ class RootSystem:
     """
 
     def __init__(self, datum: CartanDatum):
-        datum.validate()
+        self.cartan_det = datum.validate()  # |P^vee / Q^vee|
         self.datum = datum
         self.rank = datum.rank
         cartan = datum.cartan_matrix

@@ -1,11 +1,29 @@
+import importlib.util
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 from weylrep import chevalley, intmat
 from weylrep.rootsys import root_system
+
+
+@pytest.fixture
+def bench_module(monkeypatch):
+    """Import a module of bench/ by name from its file, writing no bytecode."""
+    def load(name):
+        path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+        mod = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, mod)  # for its dataclasses
+        spec.loader.exec_module(mod)
+        return mod
+
+    return load
 
 
 @pytest.fixture(scope="session")

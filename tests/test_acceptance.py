@@ -10,11 +10,11 @@ import random
 
 from weylrep import affine, chevalley, tits, weyl
 from weylrep.affine import (
-    adjoint_lattice,
     all_lattices,
     check_flip_sum_even,
     check_second_difference,
     flip_sum_at_r,
+    lattice_classes,
     omega_group,
     sigma_rs,
 )
@@ -84,11 +84,11 @@ def test_criterion_2_first_difference_rank_le_4(get_rs):
 def test_criterion_3_d5_reproduction(get_rs):
     rs = get_rs("D", 5)
     ok = rs.coxeter_number == 8
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     gen = next((om for om in group
                 if om.diagram_perm == (5, 4, 3, 2, 0, 1)), None)
     ok = ok and gen is not None  # cycle (a1 a4 -theta a5)(a2 a3)
-    datum = sigma_rs(rs, gen.sigma)
+    datum = sigma_rs(gen)
     ok = ok and datum.fiber_sizes == (3, 2, 3)
     w = gen.sigma
     for a in range(rs.nroots):
@@ -98,7 +98,7 @@ def test_criterion_3_d5_reproduction(get_rs):
         ok = ok and 8 * fw == 3 * (rs.heights[a] - 2 * rs.heights[wa]
                                    + rs.heights[w2a])
         ok = ok and check_second_difference(datum, a)
-    ok = ok and flip_sum_at_r(rs, w) == 6
+    ok = ok and flip_sum_at_r(gen) == 6
     _verdict(3, ok, "D5: generator cycle, fibers (3,2,3), h=8, "
                     "8*F = 3*[ht - 2 ht w + ht w^2], F(R)=6")
 
@@ -106,11 +106,11 @@ def test_criterion_3_d5_reproduction(get_rs):
 def test_criterion_4_e6_reproduction(get_rs):
     rs = get_rs("E", 6)
     ok = rs.coxeter_number == 12
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     gen = next((om for om in group
                 if om.diagram_perm == (6, 0, 5, 2, 4, 3, 1)), None)
     ok = ok and gen is not None  # cycle (a1, -theta, a6)(a3, a2, a5)(a4)
-    datum = sigma_rs(rs, gen.sigma)
+    datum = sigma_rs(gen)
     ok = ok and datum.fiber_sizes == (4, 4, 4)
     w = gen.sigma
     for a in range(rs.nroots):
@@ -129,10 +129,10 @@ def test_criterion_5_constant_fibers_rank_le_8(get_rs):
     for label, rank in eligible:
         rs = get_rs(label, rank)
         found = 0
-        for om in omega_group(rs, adjoint_lattice(rs)):
+        for om in omega_group(rs):
             if om.order() < 3:
                 continue
-            datum = sigma_rs(rs, om.sigma)  # constancy asserted inside
+            datum = sigma_rs(om)  # constancy asserted inside
             a, b, c = datum.fiber_sizes
             ok = ok and a == c and a + b + c == rs.coxeter_number
             found += 1
@@ -151,22 +151,22 @@ def test_criterion_6_flip_sum_parity(get_rs):
                         ("C", 3), ("C", 4), ("C", 5), ("C", 6),
                         ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("A", 1)):
         rs = get_rs(label, rank)
-        for om in omega_group(rs, adjoint_lattice(rs)):
+        for om in omega_group(rs):
             if om.order() >= 2:
-                ok = ok and check_flip_sum_even(rs, om.sigma)
+                ok = ok and check_flip_sum_even(om)
                 count += 1
     # type-D order-4 family: present exactly in odd rank (even ranks carry
     # Klein four groups, so their order-4 family is empty by construction)
     family = 0
     for rank in (4, 5, 6):
         rs = get_rs("D", rank)
-        group = omega_group(rs, adjoint_lattice(rs))
+        group = omega_group(rs)
         orders = sorted(om.order() for om in group)
         expect = [1, 2, 4, 4] if rank % 2 else [1, 2, 2, 2]
         ok = ok and orders == expect
         for om in group:
             if om.order() == 4:
-                ok = ok and flip_sum_at_r(rs, om.sigma) == 2 * rank - 4
+                ok = ok and flip_sum_at_r(om) == 2 * rank - 4
                 family += 1
     ok = ok and family == 2  # both order-4 classes of D5
     _verdict(6, ok, f"F(R) even for {count} projections of order >= 2 "
@@ -185,7 +185,7 @@ def test_criterion_7_trivial_character(get_rs, get_scalars):
         rs = get_rs(label, rank)
         _, scalars = get_scalars(label, rank)
         rel = chevalley.highest_root_relation(rs)
-        for om in omega_group(rs, adjoint_lattice(rs)):
+        for om in omega_group(rs):
             ok = ok and chevalley.evaluate_character(scalars, rel,
                                                      om.sigma) == 1
             count += 1
@@ -219,7 +219,7 @@ def test_criterion_8_fixer_solvability(get_rs, get_scalars):
         rs = get_rs(label, rank)
         _, scalars = get_scalars(label, rank)
         for lat in all_lattices(rs):
-            for om in omega_group(rs, lat):
+            for om in lattice_classes(lat, omega_group(rs)):
                 for q in (5, 7, 13):
                     units = UnitGroup(q - 1)
                     for _ in range(50):

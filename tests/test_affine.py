@@ -4,7 +4,6 @@ import pytest
 
 from weylrep import affine, intmat, weyl
 from weylrep.affine import (
-    adjoint_lattice,
     all_lattices,
     check_flip_sum_even,
     check_second_difference,
@@ -71,7 +70,7 @@ def test_all_lattices_are_pairwise_distinct(label, rank, get_rs,
     assert [old.name for old in olds] == [lat.name for lat in lats]
     cartan = rs.datum.cartan_matrix
     cw = intmat.mat_inv(cartan)  # fundamental coweights, simple-coroot coords
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     for lat, old in zip(lats, olds):
         mapped = [[int(x) for x in row] for row in intmat.mat_mul(old.basis, cartan)]
         assert intmat.hermite_row_basis(mapped) == [list(row) for row in lat.basis]
@@ -94,12 +93,17 @@ LATTICE_TYPES = [("A", 5), ("A", 7), ("B", 4), ("C", 4), ("D", 4), ("D", 6),
 
 @pytest.mark.parametrize("label, rank", LATTICE_TYPES)
 def test_lattice_classes_are_the_lattice_omega_group(label, rank, get_rs):
-    """Filtering the adjoint group by containment lists the same classes,
-    in the same order, as omega_group on each lattice."""
+    """Filtering the system's group by containment lists one class per
+    element of lat / Q^vee, in the group's order, and the adjoint lattice
+    (the last one listed) keeps them all; a short group trips the count."""
     rs = get_rs(label, rank)
-    group = omega_group(rs, adjoint_lattice(rs))
-    for lat in all_lattices(rs):
-        assert lattice_classes(lat, group) == omega_group(rs, lat)
+    group = omega_group(rs)
+    lats = all_lattices(rs)
+    assert lattice_classes(lats[-1], group) == group
+    for lat in lats:
+        classes = lattice_classes(lat, group)
+        assert len(classes) == lat.index_in_coroot
+        assert list(classes) == [om for om in group if om in classes]
         if lat.index_in_coroot > 1:
             with pytest.raises(AssertionError, match="found 1 classes"):
                 lattice_classes(lat, group[:1])
@@ -144,14 +148,14 @@ def test_minuscule_nodes(get_rs):
 
 def test_simply_connected_has_trivial_stabilizer(get_rs):
     rs = get_rs("D", 5)
-    group = omega_group(rs, simply_connected_lattice(rs))
+    group = lattice_classes(simply_connected_lattice(rs), omega_group(rs))
     assert len(group) == 1
     assert group[0].sigma.is_identity()
 
 
 def test_d5_adjoint_group_matches_plate(get_rs):
     rs = get_rs("D", 5)
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     assert sorted(om.order() for om in group) == [1, 2, 4, 4]
     # the generator printed in Bourbaki's plate: (a1 a4 -theta a5)(a2 a3)
     gen = next(om for om in group if om.diagram_perm == (5, 4, 3, 2, 0, 1))
@@ -166,7 +170,7 @@ def test_d5_adjoint_group_matches_plate(get_rs):
 
 def test_e6_adjoint_group_matches_plate(get_rs):
     rs = get_rs("E", 6)
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     assert sorted(om.order() for om in group) == [1, 3, 3]
     gen = next(om for om in group if om.diagram_perm == (6, 0, 5, 2, 4, 3, 1))
     # (alpha1, -theta, alpha6)(alpha3, alpha2, alpha5)(alpha4)
@@ -182,7 +186,7 @@ def test_omega_order_and_marks_all_types(get_rs):
         rs = get_rs(label, rank)
         mk = (1,) + tuple(marks(rs))
         for lat in all_lattices(rs):
-            for om in omega_group(rs, lat):
+            for om in lattice_classes(lat, omega_group(rs)):
                 perm = om.diagram_perm
                 assert diagram_permutation(rs, om.sigma) == perm
                 orbit = cycle_of(perm, 0)
@@ -198,7 +202,7 @@ def test_type_a_quotients(get_rs):
     assert [lat.name for lat in lats] == \
         ["simply-connected", "SL6/mu2", "SL6/mu3", "adjoint"]
     assert [lat.index_in_coroot for lat in lats] == [1, 2, 3, 6]
-    assert len(omega_group(rs, type_a_quotient_lattice(rs, 3))) == 3
+    assert len(lattice_classes(type_a_quotient_lattice(rs, 3), omega_group(rs))) == 3
 
 
 def test_half_spin_lattices_even_rank_only(get_rs):
@@ -214,9 +218,9 @@ def test_half_spin_lattices_even_rank_only(get_rs):
 
 def test_d5_sigma_rs_matches_displayed_sets(get_rs):
     rs = get_rs("D", 5)
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     gen = next(om for om in group if om.diagram_perm == (5, 4, 3, 2, 0, 1))
-    datum = sigma_rs(rs, gen.sigma)
+    datum = sigma_rs(gen)
     assert rs.roots[datum.r_root] == (0, 0, 0, 1, 0)
     assert rs.roots[datum.s_root] == (1, 0, 0, 0, 0)
 
@@ -239,33 +243,42 @@ def test_d5_sigma_rs_matches_displayed_sets(get_rs):
 
 def test_e6_sigma_rs(get_rs):
     rs = get_rs("E", 6)
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     gen = next(om for om in group if om.diagram_perm == (6, 0, 5, 2, 4, 3, 1))
-    datum = sigma_rs(rs, gen.sigma)
+    datum = sigma_rs(gen)
     assert rs.roots[datum.r_root] == (1, 0, 0, 0, 0, 0)
     assert rs.roots[datum.s_root] == (0, 0, 0, 0, 0, 1)
     assert datum.fiber_sizes == (4, 4, 4)
 
 
+@pytest.mark.parametrize("label, rank, kept", [("E", 6, (1,)), ("D", 5, (1, 4)),
+                                              ("A", 3, ())])
+def test_a_dropped_class_trips_the_det_c_count(monkeypatch, get_rs, label,
+                                               rank, kept):
+    """omega_group counts its classes against det C = |P^vee / Q^vee|."""
+    rs = get_rs(label, rank)
+    monkeypatch.setattr(affine, "minuscule_nodes", lambda rs: kept)
+    with pytest.raises(AssertionError, match=f"found {len(kept) + 1} classes, "
+                                             f"lattice index is {rs.cartan_det}"):
+        omega_group(rs)
+
+
 def test_sigma_rs_rejects_low_order(get_rs):
     rs = get_rs("D", 5)
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     invol = next(om for om in group if om.order() == 2)
     with pytest.raises(ValueError):
-        sigma_rs(rs, invol.sigma)
+        sigma_rs(invol)
     with pytest.raises(ValueError):
-        sigma_rs(rs, weyl.identity(rs))
-    # an element that does not permute the affine gradients at all
-    with pytest.raises(ValueError):
-        sigma_rs(rs, weyl.simple_reflection(rs, 2))
+        sigma_rs(group[0])
 
 
 def test_second_difference_d5_e6_all_roots(get_rs):
     for label, rank, sizes in (("D", 5, (3, 2, 3)), ("E", 6, (4, 4, 4))):
         rs = get_rs(label, rank)
-        group = omega_group(rs, adjoint_lattice(rs))
+        group = omega_group(rs)
         gen = next(om for om in group if om.order() >= 3)
-        datum = sigma_rs(rs, gen.sigma)
+        datum = sigma_rs(gen)
         assert datum.fiber_sizes == sizes
         for a in range(rs.nroots):
             assert check_second_difference(datum, a)
@@ -279,11 +292,11 @@ def test_second_difference_matches_the_table_oracle(label, rank, get_rs):
     rs = get_rs(label, rank)
     h = rs.coxeter_number
     found = 0
-    for om in omega_group(rs, adjoint_lattice(rs)):
+    for om in omega_group(rs):
         if om.order() < 3:
             continue
         found += 1
-        datum = sigma_rs(rs, om.sigma)
+        datum = sigma_rs(om)
         part = datum.parts[2]
         s = rs.coroot_sum(part)
         w, c = om.sigma, datum.fiber_sizes[2]
@@ -300,14 +313,14 @@ def test_second_difference_matches_the_table_oracle(label, rank, get_rs):
 
 def test_second_difference_at_r_gives_even_value(get_rs):
     rs = get_rs("D", 5)
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     gen = next(om for om in group if om.order() == 4)
-    datum = sigma_rs(rs, gen.sigma)
+    datum = sigma_rs(gen)
     h = rs.coxeter_number
     c = datum.fiber_sizes[2]
     # at R: h * F_w(R) = c * [1 - 2(1-h) + 1] = 2 c h
-    assert h * flip_sum_at_r(rs, gen.sigma) == 2 * c * h
-    assert flip_sum_at_r(rs, gen.sigma) == 6
+    assert h * flip_sum_at_r(gen) == 2 * c * h
+    assert flip_sum_at_r(gen) == 6
 
 
 def test_constant_fibers_all_eligible_types_rank_le_8(get_rs):
@@ -317,13 +330,13 @@ def test_constant_fibers_all_eligible_types_rank_le_8(get_rs):
         [("D", 5), ("D", 7), ("E", 6)]
     for label, rank in eligible:
         rs = get_rs(label, rank)
-        group = omega_group(rs, adjoint_lattice(rs))
+        group = omega_group(rs)
         found = 0
         for om in group:
             if om.order() < 3:
                 continue
             found += 1
-            datum = sigma_rs(rs, om.sigma)  # constancy asserted inside
+            datum = sigma_rs(om)  # constancy asserted inside
             a, b, c = datum.fiber_sizes
             assert a == c
             assert a + b + c == rs.coxeter_number
@@ -334,10 +347,10 @@ def test_fiber_weighted_coroot_relation(get_rs):
     """a*(sum of (0,1) coroots) + b*(sum of (1,0)) = c*(sum of (1,1))."""
     for label, rank in (("A", 3), ("A", 6), ("D", 5), ("E", 6)):
         rs = get_rs(label, rank)
-        for om in omega_group(rs, adjoint_lattice(rs)):
+        for om in omega_group(rs):
             if om.order() < 3:
                 continue
-            datum = sigma_rs(rs, om.sigma)
+            datum = sigma_rs(om)
             a, b, c = datum.fiber_sizes
 
             def coroot_sum(part):
@@ -357,9 +370,9 @@ def test_flip_sum_even_rank_le_6(get_rs):
                         ("C", 3), ("C", 4), ("C", 5), ("C", 6),
                         ("D", 4), ("D", 5), ("D", 6), ("E", 6)):
         rs = get_rs(label, rank)
-        for om in omega_group(rs, adjoint_lattice(rs)):
+        for om in omega_group(rs):
             if om.order() >= 2:
-                assert check_flip_sum_even(rs, om.sigma), (label, rank)
+                assert check_flip_sum_even(om), (label, rank)
 
 
 def test_type_d_order_four_family(get_rs):
@@ -368,26 +381,26 @@ def test_type_d_order_four_family(get_rs):
     empty there; involutions instead give the Coxeter number."""
     for rank in (4, 5, 6, 7):
         rs = get_rs("D", rank)
-        group = omega_group(rs, adjoint_lattice(rs))
+        group = omega_group(rs)
         orders = sorted(om.order() for om in group)
         if rank % 2 == 1:
             assert orders == [1, 2, 4, 4]
             for om in group:
                 if om.order() == 4:
-                    assert flip_sum_at_r(rs, om.sigma) == 2 * rank - 4
+                    assert flip_sum_at_r(om) == 2 * rank - 4
         else:
             assert orders == [1, 2, 2, 2]
             for om in group:
                 if om.order() == 2:
-                    assert flip_sum_at_r(rs, om.sigma) == rs.coxeter_number
+                    assert flip_sum_at_r(om) == rs.coxeter_number
 
 
 def test_e7_involution_flip_sum_is_coxeter_number(get_rs):
     rs = get_rs("E", 7)
     assert rs.coxeter_number == 18
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     invol = next(om for om in group if om.order() == 2)
-    assert flip_sum_at_r(rs, invol.sigma) == 18
+    assert flip_sum_at_r(invol) == 18
 
 
 def test_class_representatives_live_in_their_lattice(get_rs,
@@ -397,7 +410,7 @@ def test_class_representatives_live_in_their_lattice(get_rs,
     rs = get_rs("D", 4)
     cw = intmat.mat_inv(rs.datum.cartan_matrix)  # simple-coroot coords
     for lat, old in zip(all_lattices(rs), get_fraction_lattices("D", 4)):
-        for om in omega_group(rs, lat):
+        for om in lattice_classes(lat, omega_group(rs)):
             assert all(type(x) is int for x in om.class_rep)
             if om.class_node is not None:
                 assert affine.lattice_contains(lat, om.class_rep)
@@ -451,6 +464,6 @@ def test_sigma_matches_brute_force_oracle(label, rank, get_rs):
             found.setdefault(perm[0], []).append(w)
     assert sorted(found) == [0, *minuscule_nodes(rs)]
     assert found[0] == [weyl.identity(rs)]
-    group = omega_group(rs, adjoint_lattice(rs))
+    group = omega_group(rs)
     for om in group[1:]:
         assert found[om.class_node] == [om.sigma]

@@ -1,6 +1,7 @@
 import ast
 import importlib
-import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,21 +67,22 @@ def test_module_does_not_import_fractions(module):
     assert [m for m in imported if m.split(".")[0] == "fractions"] == []
 
 
-def _bench_tracer(monkeypatch):
-    """bench/tracer.py, imported from its file without writing bytecode."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def test_bench_selftest_passes():
+    """bench/selftest.py runs the harness, its children and the tracer on
+    A3 against this checkout: the one check that the tracer's wrappers and
+    observers still fit the functions they wrap."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "bench" / "selftest.py")],
+                          cwd=root, capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_traced_names_resolve(monkeypatch):
+def test_traced_names_resolve(bench_module):
     """The bench tracer wraps these by name; a rename or deletion fails here
     rather than crashing the traced benchmark."""
     missing = []
-    for qualname in _bench_tracer(monkeypatch).TRACED:
+    for qualname in bench_module("tracer").TRACED:
         modname, _, attr = qualname.partition(".")
         owner = importlib.import_module(f"weylrep.{modname}")
         if "." in attr:

@@ -340,7 +340,7 @@ def test_fixing_subgroup_of_highest_root_relation(get_rs):
         rel = highest_root_relation(rs)
         fixing = {w for w in weyl.enumerate_group(rs) if fixes_relation(w, rel)}
         omegas = {om.sigma
-                  for om in affine.omega_group(rs, affine.adjoint_lattice(rs))}
+                  for om in affine.omega_group(rs)}
         assert fixing == omegas
 
 
@@ -369,7 +369,7 @@ def test_character_is_multiplicative_on_fixing_subgroup(get_rs, get_scalars):
         _, scalars = get_scalars(label, rank)
         rel = highest_root_relation(rs)
         fixing = [om.sigma for om in
-                  affine.omega_group(rs, affine.adjoint_lattice(rs))]
+                  affine.omega_group(rs)]
         for u in fixing:
             for v in fixing:
                 uv = u * v
@@ -385,7 +385,7 @@ def test_trivial_character_on_stabilizer_projections(label, rank, get_rs,
     rs = get_rs(label, rank)
     _, scalars = get_scalars(label, rank)
     rel = highest_root_relation(rs)
-    for om in affine.omega_group(rs, affine.adjoint_lattice(rs)):
+    for om in affine.omega_group(rs):
         assert evaluate_character(scalars, rel, om.sigma) == 1
 
 

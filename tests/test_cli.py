@@ -217,6 +217,15 @@ def test_golden_default_report(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+# a sweep whose E6 entries share the R/S datum with E6's table; D5's table
+# is of a system that is not swept, so it builds its own
+TABLES_CONFIG = {"systems": [{"type": "E", "rank": 6}],
+                 "checks": {**dict.fromkeys(DEFAULT_CONFIG["checks"], False),
+                            "second_difference": True, "fibers": True},
+                 "tables": [{"type": "D", "rank": 5, "node": 5},
+                            {"type": "E", "rank": 6}]}
+
+
 @pytest.mark.parametrize("golden, argv", [
     ("golden_d5_e6_report.json", ["sweep", "--config", "CONFIG"]),
     ("golden_cocycle_b2_report.json", ["cocycle", "--type", "B", "--rank", "2"]),
@@ -224,16 +233,19 @@ def test_golden_default_report(tmp_path):
                                      "--q", "5", "--samples", "5"]),
     ("golden_cocycle_b2_dump.json", ["cocycle", "--type", "B", "--rank", "2",
                                      "--dump"]),
+    ("golden_tables_report.json", ["sweep", "--config", "TABLES"]),
 ])
 @pytest.mark.usefixtures("no_pairing_table")
 def test_golden_reports(tmp_path, golden, argv):
-    """A D5+E6 all-checks sweep, the cocycle and fixer presets, and the B2
-    cocycle table dump, byte for byte."""
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"systems": [{"type": "D", "rank": 5},
-                                              {"type": "E", "rank": 6}]}))
+    """A D5+E6 all-checks sweep, an E6 sweep with D5 and E6 tables, the
+    cocycle and fixer presets, and the B2 cocycle table dump, byte for byte."""
+    configs = {"CONFIG": {"systems": [{"type": "D", "rank": 5},
+                                      {"type": "E", "rank": 6}]},
+               "TABLES": TABLES_CONFIG}
+    for name, doc in configs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     out = tmp_path / "report.json"
-    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    argv = [str(tmp_path / arg) if arg in configs else arg for arg in argv]
     assert cli.main(argv + ["--out", str(out)]) == 0
     path = Path(__file__).parent / "fixtures" / golden
     assert out.read_bytes() == path.read_bytes()
@@ -242,10 +254,10 @@ def test_golden_reports(tmp_path, golden, argv):
 def test_omega_group_failure_is_not_a_pass(monkeypatch):
     real = affine.omega_group
 
-    def broken(rs, lattice):
+    def broken(rs):
         if (rs.datum.type_label, rs.rank) == ("D", 5):
             raise RuntimeError("omega_group broke")
-        return real(rs, lattice)
+        return real(rs)
 
     monkeypatch.setattr(affine, "omega_group", broken)
     cfg = load_config(None)
@@ -321,6 +333,36 @@ def test_bad_config_types_are_config_errors(tmp_path, capsys, user):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("user, named", [
+    ({"systems": [{"type": "A", "rank": 3, "rnak": 3}]}, "'rnak'"),
+    ({"systems": [{"type": "D", "rank": 5, "node": 5}]}, "'node'"),
+    ({"tables": [{"type": "D", "rank": 5, "nod": 5}]}, "'nod'"),
+    ({"tables": [{"type": "D", "rank": 5, "node": "5"}]}, "'5'"),
+    ({"tables": [{"type": "A", "rank": 5, "node": True}]}, "True"),
+    ({"tables": [{"type": "D", "rank": 5, "node": None}]}, "None"),
+])
+def test_bad_entry_keys_are_config_errors(tmp_path, capsys, user, named):
+    """A system entry holds only type and rank, a table entry also an int
+    node; anything else is named in the error, before any check runs."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(user))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_table_node_zero_is_named(tmp_path, capsys):
+    """Node 0 is a node: the error says that no projection has it."""
+    assert cli.main(["table", "--type", "D", "--rank", "5", "--node", "0"]) == 2
+    assert "with node 0" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"systems": [],
+                                "tables": [{"type": "D", "rank": 5, "node": 0}]}))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert "with node 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lattices", [["SO", "S0"], ["S0"], []])
 def test_unknown_lattice_name_is_config_error(tmp_path, capsys, lattices):
     path = tmp_path / "cfg.json"
@@ -384,6 +426,36 @@ def test_each_table_is_built_once_per_system(monkeypatch):
     cfg["checks"] = {"cocycle": True}
     assert run_sweep(cfg)["status"] == "pass"
     assert constants == []
+
+
+def test_each_class_builds_its_rs_datum_once(monkeypatch):
+    """second_difference, fibers and each system's table read one R/S
+    datum per class of order >= 3, built on the first read."""
+    datums = _count_calls(monkeypatch, affine, "sigma_rs")
+    systems = ["A5", "D7", "E6"]
+    cfg = _one_check_config(systems, second_difference=True, fibers=True)
+    cfg["tables"] = [{"type": s[0], "rank": int(s[1:])} for s in systems]
+    assert run_sweep(cfg)["status"] == "pass"
+    expected = [(s, om.class_node) for s in systems
+                for om in affine.omega_group(root_system(s[0], int(s[1:])))
+                if om.order() >= 3]
+    assert len(expected) == 8
+    assert [(f"{om.sigma.rs.datum.type_label}{om.sigma.rs.rank}", om.class_node)
+            for (om,) in datums] == expected
+
+
+def test_lattices_all_derives_each_table_once(monkeypatch, bench_module):
+    """The benchmark's lattices-all sweep: one R/S datum per class of
+    order >= 3, one Hermite form per lattice (Q^vee is reduced with
+    each lattice's own rows, not apart), and one Ω group per system
+    context (12 swept systems and the unswept D5 table)."""
+    workload = bench_module("workloads").WORKLOADS["lattices-all"]
+    datums = _count_calls(monkeypatch, affine, "sigma_rs")
+    hermites = _count_calls(monkeypatch, intmat, "hermite_row_basis")
+    omegas = _count_calls(monkeypatch, affine, "omega_group")
+    report = run_sweep({**load_config(None), **workload.make_config(7)})
+    assert report["status"] == "pass"
+    assert (len(datums), len(hermites), len(omegas)) == (15, 32, 13)
 
 
 def test_each_lattice_is_factored_once(monkeypatch):
@@ -467,8 +539,9 @@ def test_planted_fault_gives_the_recorded_entry(monkeypatch, module, name, nth,
 
 def test_second_difference_assertion_is_a_witness(monkeypatch, tmp_path):
     """An R/S assertion inside the second-difference check fails its entry,
-    as it does for fibers, and the sweep still writes its report."""
-    _plant(monkeypatch, affine, "sigma_rs", 2,
+    as it does for fibers, and the sweep still writes its report.  The
+    class's R/S datum is built once, by its first read in the parity check."""
+    _plant(monkeypatch, affine, "sigma_rs", 1,
            AssertionError("planted fiber fault"))
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"systems": [{"type": "A", "rank": 3}]}))
@@ -708,7 +781,7 @@ def test_fixer_sweep_reads_each_class_scalar_once(monkeypatch):
     expected = 0
     for name in systems:
         rs = root_system(name[0], int(name[1:]))
-        omegas = affine.omega_group(rs, affine.adjoint_lattice(rs))
+        omegas = affine.omega_group(rs)
         expected += sum(len(affine.lattice_classes(lat, omegas))
                         for lat in affine.all_lattices(rs)) * (rs.rank + 1)
     assert len(calls) == expected

@@ -10,6 +10,7 @@ from weylrep.affine import (
     adjoint_lattice,
     all_lattices,
     half_spin_lattice,
+    lattice_classes,
     omega_group,
     simply_connected_lattice,
     type_a_quotient_lattice,
@@ -49,7 +50,7 @@ def test_identity_class_system_is_trivial(get_rs, get_scalars):
     _, scalars = get_scalars("B", 3)
     units = units_for(5)
     lat = adjoint_lattice(rs)
-    ident = omega_group(rs, lat)[0]
+    ident = omega_group(rs)[0]
     lam = GenericFunctional(tuple(range(rs.rank + 1)))
     system = build_system(rs, lat, ident, lam, scalars, units)
     assert all(t == 0 for t in system.targets)
@@ -66,7 +67,7 @@ def test_row_product_redundancy(get_rs, get_scalars):
         _, scalars = get_scalars(label, rank)
         lat = adjoint_lattice(rs)
         mk = (1,) + tuple(rs.roots[rs.highest_root])
-        for om in omega_group(rs, lat):
+        for om in omega_group(rs):
             for q in QS:
                 units = units_for(q)
                 lam = random_functional(rng, units, rs.rank)
@@ -83,7 +84,7 @@ def test_passed_node_signs_give_the_same_system(get_rs, get_scalars):
         rs = get_rs(label, rank)
         _, scalars = get_scalars(label, rank)
         for lat in all_lattices(rs):
-            for om in omega_group(rs, lat):
+            for om in lattice_classes(lat, omega_group(rs)):
                 signs = node_signs(rs, om, scalars)
                 assert set(signs) <= {1, -1} and len(signs) == rank + 1
                 for q in QS:
@@ -99,7 +100,7 @@ def test_adjoint_system_always_solvable_with_unique_witness(get_rs,
     _, scalars = get_scalars("D", 5)
     lat = adjoint_lattice(rs)
     rng = random.Random(3)
-    om = next(o for o in omega_group(rs, lat) if o.order() == 4)
+    om = next(o for o in omega_group(rs) if o.order() == 4)
     units = units_for(5)
     for _ in range(25):
         lam = random_functional(rng, units, rs.rank)
@@ -117,7 +118,7 @@ def test_so_lattice_explicit_recipe(get_rs, get_scalars):
         rs = get_rs("D", rank)
         _, scalars = get_scalars("D", rank)
         lat = vector_lattice(rs)
-        om = next(o for o in omega_group(rs, lat) if o.order() == 2)
+        om = next(o for o in lattice_classes(lat, omega_group(rs)) if o.order() == 2)
         assert om.class_node == 1
         rng = random.Random(rank)
         for q in QS:
@@ -157,7 +158,7 @@ def test_inconsistent_system_diagnostic(get_rs, get_scalars, monkeypatch):
     rs = get_rs("D", 5)
     _, scalars = get_scalars("D", 5)
     lat = adjoint_lattice(rs)
-    om = next(o for o in omega_group(rs, lat) if o.order() == 4)
+    om = next(o for o in omega_group(rs) if o.order() == 4)
     units = units_for(5)
     lam = GenericFunctional((0,) * (rs.rank + 1))
     real_c_word = fx.c_word
@@ -182,7 +183,7 @@ def test_full_grid_solvability(get_rs, get_scalars):
         rs = get_rs(label, rank)
         _, scalars = get_scalars(label, rank)
         for lat in all_lattices(rs):
-            for om in omega_group(rs, lat):
+            for om in lattice_classes(lat, omega_group(rs)):
                 for q in QS:
                     units = units_for(q)
                     for _ in range(50):
@@ -321,7 +322,7 @@ def test_obstruction_vanishes_on_adjoint_and_type_a(get_rs, get_scalars):
     rs = get_rs("A", 3)
     _, scalars = get_scalars("A", 3)
     lat = adjoint_lattice(rs)
-    for om in omega_group(rs, lat):
+    for om in omega_group(rs):
         for q in QS:
             units = units_for(q)
             lam = random_functional(rng, units, rs.rank)
@@ -332,7 +333,7 @@ def test_obstruction_vanishes_on_adjoint_and_type_a(get_rs, get_scalars):
         rs = get_rs("A", rank)
         _, scalars = get_scalars("A", rank)
         lat = type_a_quotient_lattice(rs, m)
-        for om in omega_group(rs, lat):
+        for om in lattice_classes(lat, omega_group(rs)):
             for q in QS:
                 units = units_for(q)
                 for _ in range(10):
@@ -351,7 +352,7 @@ def test_obstruction_vanishes_on_half_spin(get_rs, get_scalars):
         _, scalars = get_scalars("D", rank)
         for node in (rank - 1, rank):
             lat = half_spin_lattice(rs, node)
-            for om in omega_group(rs, lat):
+            for om in lattice_classes(lat, omega_group(rs)):
                 if om.class_node is None:
                     continue
                 for q in QS:
@@ -370,7 +371,8 @@ def test_obstruction_invariant_under_rebasing(get_rs, get_scalars):
     lat = type_a_quotient_lattice(rs, 3)
     rng = random.Random(46)
     units = units_for(13)
-    oms = [om for om in omega_group(rs, lat) if om.class_node is not None]
+    oms = [om for om in lattice_classes(lat, omega_group(rs))
+           if om.class_node is not None]
     for om in oms:
         for _ in range(20):
             lam = random_functional(rng, units, rs.rank)
@@ -390,7 +392,7 @@ def test_degenerate_power_classes(get_rs, get_scalars):
     rng = random.Random(47)
     for q in QS:
         units = units_for(q)
-        om = omega_group(rs, lat)[0]
+        om = lattice_classes(lat, omega_group(rs))[0]
         lam = random_functional(rng, units, rs.rank)
         ob = obstruction(rs, lat, om, lam, scalars, units)
         assert ob.modulus == 1 and ob.vanishes()
@@ -435,7 +437,7 @@ def test_corrupted_held_smith_form_trips_the_witness_check(get_rs, get_scalars,
 
     monkeypatch.setattr(intmat, "smith_normal_form", corrupted)
     lat = adjoint_lattice(rs)  # pairing, d, u and v are all the identity
-    om = next(o for o in omega_group(rs, lat) if o.class_node is not None)
+    om = next(o for o in omega_group(rs) if o.class_node is not None)
     units = units_for(13)
     system = build_system(rs, lat, om, GenericFunctional((0, 1, 5)), scalars,
                           units)
@@ -465,7 +467,7 @@ def test_corrupted_held_zeroth_row_trips_the_zeroth_row_check(get_rs,
     rs = get_rs("A", 2)
     _, scalars = get_scalars("A", 2)
     lat = adjoint_lattice(rs)
-    om = next(o for o in omega_group(rs, lat) if o.class_node is not None)
+    om = next(o for o in omega_group(rs) if o.class_node is not None)
     lam = GenericFunctional((0, 1, 5))
     units = units_for(13)
     x = solve(build_system(rs, lat, om, lam, scalars, units))

@@ -190,7 +190,7 @@ def test_diagonal_parity_matches_functional(get_rs):
     rs = get_rs("D", 5)
     from weylrep import affine
 
-    group = affine.omega_group(rs, affine.adjoint_lattice(rs))
+    group = affine.omega_group(rs)
     gen = next(om for om in group if om.order() == 4)
     w = gen.sigma
     bits = cocycle(w, w)

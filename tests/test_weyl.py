@@ -159,7 +159,7 @@ def test_flip_functional_d5_generator_value(get_rs):
     rs = get_rs("D", 5)
     from weylrep import affine
 
-    group = affine.omega_group(rs, affine.adjoint_lattice(rs))
+    group = affine.omega_group(rs)
     gen = next(om for om in group if om.order() == 4)
     r_root = next(k for k in rs.positive_indices()
                   if gen.sigma.perm[k] == rs.neg[rs.highest_root])
@@ -243,7 +243,7 @@ def test_flip_symmetry_d5_generator(get_rs):
     rs = get_rs("D", 5)
     from weylrep import affine
 
-    group = affine.omega_group(rs, affine.adjoint_lattice(rs))
+    group = affine.omega_group(rs)
     gen = next(om for om in group if om.order() == 4)
     assert check_flip_symmetry(gen.sigma)
 
