@@ -13,7 +13,7 @@ partition once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import prod
 from operator import mul
@@ -54,25 +54,21 @@ __all__ = [
 # -- lattices ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CocharLattice:
+class CocharLattice(namedtuple("CocharLattice",
+                               "name basis index_in_coroot pairing pairing_row0")):
     """A lattice Y between Q^vee and P^vee, in fundamental-coweight coords.
 
     Coordinate i of y is <alpha_i, y>, so P^vee is Z^rank, the fundamental
     coweight varpi_j^vee is the unit vector e_j, and the simple coroot
-    alpha_j^vee is row j of the Cartan matrix.  ``basis`` is the Hermite
-    row basis of Y, integer and canonical; ``pairing[i][k]`` is
-    <alpha_i, basis_k>, its transpose, and ``pairing_row0[k]`` is
-    <-theta, basis_k>, the row of the affine node alpha_0 = delta - theta.
-    The lattice is factored once: ``pairing_row0`` is kept from
-    construction, and ``pairing_snf`` is built on first use.
+    alpha_j^vee is row j of the Cartan matrix.  ``name`` is a str;
+    ``basis`` is the Hermite row basis of Y, int rows in canonical form;
+    ``index_in_coroot`` is the order of Y / Q^vee;
+    ``pairing[i][k]`` is <alpha_i, basis_k>, its transpose, and
+    ``pairing_row0[k]`` is <-theta, basis_k>, the row of the affine node
+    alpha_0 = delta - theta.  The lattice is factored once:
+    ``pairing_row0`` is kept from construction, and ``pairing_snf`` is
+    built on first use (so the record keeps an instance dict).
     """
-
-    name: str
-    basis: tuple[tuple[int, ...], ...]
-    index_in_coroot: int  # order of (this lattice) / Q^vee
-    pairing: tuple[tuple[int, ...], ...]
-    pairing_row0: tuple[int, ...]
 
     @cached_property
     def pairing_snf(self):
@@ -189,20 +185,17 @@ def lattice_contains(lat: CocharLattice, vec) -> bool:
 # -- alcove stabilizer -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaElement:
+class OmegaElement(namedtuple("OmegaElement",
+                              "class_node class_rep sigma diagram_perm")):
     """One class of (lattice)/Q^vee with its finite-Weyl projection.
 
     ``class_node`` is the minuscule node representing the class (None for
     the identity class), ``class_rep`` its fundamental coweight, the int
-    unit vector e_node in coweight coordinates (zero for the identity), and
-    ``diagram_perm`` the induced permutation of the affine nodes 0..rank.
+    unit vector e_node in coweight coordinates (zero for the identity),
+    ``sigma`` the projection, a WeylElement, and ``diagram_perm`` the
+    induced permutation of the affine nodes 0..rank.  ``partition`` is
+    built on first use (so the record keeps an instance dict).
     """
-
-    class_node: int | None
-    class_rep: tuple[int, ...]
-    sigma: WeylElement
-    diagram_perm: tuple[int, ...]
 
     def order(self) -> int:
         return _perm_order(self.diagram_perm)
@@ -307,17 +300,20 @@ def _verify_omega(rs, node, sigma, perm) -> None:
 # -- the R/S coefficient partition ------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaRSDatum:
+class SigmaRSDatum(namedtuple("SigmaRSDatum",
+                              "w r_root s_root parts triples fiber_sizes")):
     """Coefficient partition of the positive roots for an order >= 3
-    stabilizer projection, with the additive triples between the parts."""
+    stabilizer projection, with the additive triples between the parts.
 
-    w: WeylElement
-    r_root: int
-    s_root: int
-    parts: tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]
-    triples: tuple[tuple[int, int, int], ...]
-    fiber_sizes: tuple[int, int, int]
+    ``w`` is the projection, a WeylElement; ``r_root`` and ``s_root`` are
+    root indices; ``parts`` is four frozensets of root indices, the
+    (R, S)-coefficient parts (0,0), (0,1), (1,0) and (1,1); ``triples``
+    holds every root-index triple (a, b, a + b) with a in the (0,1) part
+    and b in the (1,0) part; ``fiber_sizes`` is the three int sizes of
+    the constant fibers of its projections.
+    """
+
+    __slots__ = ()
 
 
 def sigma_rs(om: OmegaElement) -> SigmaRSDatum:

@@ -13,7 +13,7 @@ division, as it must be in a Chevalley basis (Kostant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .affine import affine_nodes
 from .rootsys import RootSystem, root_string
@@ -38,13 +38,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StructureConstantTable:
-    """N[a, b] for every ordered pair of root indices with a root sum."""
+class StructureConstantTable(namedtuple("StructureConstantTable", "rs convention_id n")):
+    """N[a, b] for every ordered pair of root indices with a root sum.
 
-    rs: RootSystem
-    convention_id: str
-    n: dict  # (int, int) -> int
+    ``rs`` is the RootSystem, ``convention_id`` a str, and ``n`` a dict
+    from (int, int) root-index pairs to int constants.
+    """
+
+    __slots__ = ()
 
 
 def _special_pairs(rs: RootSystem, g: int):
@@ -256,13 +257,14 @@ def table_from_json(rs: RootSystem, doc) -> StructureConstantTable:
 # -- conjugation scalars ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarTable:
-    """Signs of Ad(n_s) on root vectors, one signed permutation per simple."""
+class ScalarTable(namedtuple("ScalarTable", "rs convention_id signed_perm")):
+    """Signs of Ad(n_s) on root vectors, one signed permutation per simple.
 
-    rs: RootSystem
-    convention_id: str
-    signed_perm: tuple[tuple[tuple[int, int], ...], ...]  # [i-1][root] = (img, sign)
+    ``rs`` is the RootSystem, ``convention_id`` a str, and
+    ``signed_perm[i-1][root] = (img, sign)``, two ints.
+    """
+
+    __slots__ = ()
 
     def c(self, i: int, a: int) -> int:
         """Scalar by which Ad(n_i) carries the a-root vector to the s_i(a) one."""
@@ -386,11 +388,11 @@ def ad_word_sign(scalars: ScalarTable, w: WeylElement, a: int) -> int:
 # -- dependence relations and their characters ---------------------------
 
 
-@dataclass(frozen=True)
-class DependenceRelation:
-    """A vanishing integer combination of distinct roots."""
+class DependenceRelation(namedtuple("DependenceRelation", "terms")):
+    """A vanishing integer combination of distinct roots: ``terms`` holds
+    its (multiplicity, root index) int pairs."""
 
-    terms: tuple[tuple[int, int], ...]  # (multiplicity, root index)
+    __slots__ = ()
 
 
 def dependence_relation(rs: RootSystem, terms) -> DependenceRelation:

@@ -263,6 +263,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
                 if unknown:
                     raise ConfigError(f"unknown checks {unknown}; "
                                       f"known checks: {sorted(CHECKS)}")
+                for name, on in val.items():
+                    if type(on) is not bool:
+                        raise ConfigError(f"checks entry {name!r} must be true "
+                                          f"or false, got {on!r}")
                 cfg["checks"].update(val)
             elif key in cfg:
                 cfg[key] = val
@@ -291,6 +295,11 @@ def _validate(cfg: dict) -> None:
                 raise ConfigError(f"unknown key {unknown[0]!r} in {key} entry {d!r}")
             if type(d.get("node", 0)) is not int:
                 raise ConfigError(f"tables node must be an int, got {d['node']!r}")
+    names = [_sysname(d) for d in cfg["tables"]]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"tables names {name} more than once; "
+                              f"give each system one entry")
     for key in ("seed", "budget", "pair_budget", "samples", "lambda_samples"):
         val = cfg[key]
         if type(val) is not int or val < 0:

@@ -12,7 +12,7 @@ stabilizer projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from operator import mul
 
@@ -37,11 +37,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UnitGroup:
+class UnitGroup(namedtuple("UnitGroup", "order")):
     """Cyclic unit group of a finite field with q = order + 1 elements."""
 
-    order: int
+    __slots__ = ()
 
     def sign_log(self, c: int) -> int:
         """Discrete log of +-1; -1 collapses to 0 when the order is odd."""
@@ -52,15 +51,15 @@ class UnitGroup:
         raise ValueError(f"not a sign: {c}")
 
 
-@dataclass(frozen=True)
-class GenericFunctional:
-    """Units attached to the affine nodes 0..rank, as discrete logs.
+class GenericFunctional(namedtuple("GenericFunctional", "values")):
+    """Units attached to the affine nodes 0..rank, as discrete logs: the
+    ints of ``values``.
 
     Every residue in Z/N names a nonzero field element, so genericity
     (non-vanishing on each line) holds by construction.
     """
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
 
 def random_functional(rng, units: UnitGroup, rank: int) -> GenericFunctional:
@@ -74,13 +73,11 @@ class InconsistentSystemError(ValueError):
     property."""
 
 
-@dataclass(frozen=True)
-class FixerSystem:
-    rs: RootSystem
-    lattice: CocharLattice
-    omega: OmegaElement
-    units: UnitGroup
-    targets: tuple[int, ...]  # per affine node, in Z/N
+class FixerSystem(namedtuple("FixerSystem", "rs lattice omega units targets")):
+    """The system for one RootSystem, CocharLattice, OmegaElement and
+    UnitGroup: ``targets`` holds one int in Z/N per affine node."""
+
+    __slots__ = ()
 
 
 def node_signs(rs: RootSystem, omega: OmegaElement,
@@ -129,13 +126,12 @@ def solve(system: FixerSystem):
     return x
 
 
-@dataclass(frozen=True)
-class ConnectingCharacter:
+class ConnectingCharacter(namedtuple("ConnectingCharacter", "coeffs d")):
     """Simple-root coefficients (mod d) of a character of the adjoint
-    torus killing the small torus's points modulo d-th powers."""
+    torus killing the small torus's points modulo d-th powers: ``coeffs``
+    holds the int coefficients, and ``d`` is the int modulus."""
 
-    coeffs: tuple[int, ...]
-    d: int
+    __slots__ = ()
 
 
 def connecting_character(rs: RootSystem,
@@ -172,17 +168,15 @@ def connecting_character(rs: RootSystem,
     return ConnectingCharacter(best, d)
 
 
-@dataclass(frozen=True)
-class ObstructionClass:
+class ObstructionClass(namedtuple("ObstructionClass", "value modulus d")):
     """Image of the adjoint witness under the connecting character.
 
-    Zero iff the witness lifts to the target lattice's torus; the value
-    lives in Z/gcd(d, N) since d-th powers absorb the rest.
+    Zero iff the witness lifts to the target lattice's torus; the int
+    ``value`` lives in Z/``modulus``, ``modulus`` = gcd(``d``, N), since
+    d-th powers absorb the rest.
     """
 
-    value: int
-    modulus: int
-    d: int
+    __slots__ = ()
 
     def vanishes(self) -> bool:
         return self.value % self.modulus == 0 if self.modulus > 1 else True

@@ -8,12 +8,12 @@ pairing matrix), and still checks every solution it returns against the
 original matrix.  ``hermite_row_basis`` gives the canonical basis that
 cocharacter lattices are stored in.  The rational helpers ``mat_mul``,
 ``mat_det`` and ``mat_inv`` are not exported: nothing in the package
-calls them, and the tests use them as the ``Fraction`` oracle.
+calls them, and the tests use them as the ``Fraction`` oracle, so
+``fractions`` is imported inside them and not with the package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 __all__ = [
@@ -197,7 +197,10 @@ def mat_mul(a, b):
             for i in range(rows)]
 
 
-def mat_det(m) -> Fraction:
+def mat_det(m):
+    """Exact determinant, as a Fraction."""
+    # imported here so that importing the package skips ``fractions``
+    from fractions import Fraction
     m = [[Fraction(x) for x in row] for row in m]
     n = len(m)
     det = Fraction(1)
@@ -218,6 +221,8 @@ def mat_det(m) -> Fraction:
 
 def mat_inv(m):
     """Exact inverse of a square matrix, as Fractions."""
+    # imported here so that importing the package skips ``fractions``
+    from fractions import Fraction
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(m)]

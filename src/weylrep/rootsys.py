@@ -2,15 +2,13 @@
 
 Roots are stored in simple-root coordinates and coroots in simple-coroot
 coordinates; pairings, heights and root strings are all derived in exact
-arithmetic (integers, with rationals only inside the symmetrized form).
-Cartan matrices follow the Bourbaki plate numbering, with entry ``[i][j]``
-equal to ``<alpha_j, alpha_i^vee>``.
+integer arithmetic.  Cartan matrices follow the Bourbaki plate numbering,
+with entry ``[i][j]`` equal to ``<alpha_j, alpha_i^vee>``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter, mul
 from struct import calcsize
@@ -97,11 +95,10 @@ def _norms2(label: str, rank: int) -> tuple[int, ...]:
     return (2,) * rank
 
 
-@dataclass(frozen=True)
-class CartanDatum:
-    type_label: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
+class CartanDatum(namedtuple("CartanDatum", "type_label rank cartan_matrix")):
+    """A type label, its rank, and its Cartan matrix as a tuple of int rows."""
+
+    __slots__ = ()
 
     def validate(self) -> int:
         """Raise ``CartanError`` unless C is a Cartan matrix; return det C."""
@@ -195,9 +192,6 @@ class RootSystem:
         self.heights = tuple(sum(r) for r in self.roots)
         self.neg = tuple(self.index[tuple(-c for c in r)] for r in self.roots)
 
-        # inner products (alpha_i|alpha_j) = (alpha_i|alpha_i) * cartan[i][j] / 2
-        self._gram = [[Fraction(norms2[i] * x, 2) for x in cartan[i]]
-                      for i in range(self.rank)]
         # pairing with simple coroots: psc[k][i] = <root_k, alpha_i^vee>
         self._psc = psc = tuple(
             tuple(sum(r[j] * cartan[i][j] for j in range(self.rank))
@@ -331,15 +325,6 @@ class RootSystem:
 
     def root_name(self, k: int) -> str:
         return "".join(str(c) for c in self.roots[k])
-
-    def _form(self, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-        g = self._gram
-        return sum(Fraction(a[i]) * g[i][j] * b[j]
-                   for i in range(self.rank) for j in range(self.rank))
-
-    def form(self, a: int, b: int) -> Fraction:
-        """Symmetrizing inner product (root_a | root_b)."""
-        return self._form(self.roots[a], self.roots[b])
 
     def __repr__(self) -> str:
         return f"RootSystem({self.datum.type_label}{self.rank})"

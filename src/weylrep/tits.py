@@ -37,7 +37,7 @@ from a walk along a word, never from ``inversion_set`` or ``flip_set``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rootsys import RootSystem
 from .weyl import WeylElement, flip_set, identity as weyl_identity, simple_reflection
@@ -59,10 +59,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TitsElement:
-    bits: int
-    weyl: WeylElement
+class TitsElement(namedtuple("TitsElement", "bits weyl")):
+    """The normal form (t, w): ``bits``, the int mask of t, and ``weyl``,
+    the WeylElement w whose canonical representative follows t."""
+
+    __slots__ = ()
 
 
 def act_bits(w: WeylElement, mask: int) -> int:

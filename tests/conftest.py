@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from weylrep import chevalley, intmat
-from weylrep.rootsys import root_system
+from weylrep.rootsys import _norms2, root_system
 
 
 @pytest.fixture
@@ -53,6 +53,25 @@ def get_scalars(get_rs):
         return cache[key]
 
     return get
+
+
+# -- the Fraction Gram form, a test oracle -----------------------------
+
+
+def _form(rs, a, b):
+    """The symmetrizing inner product (root_a | root_b), as a Fraction,
+    from the Gram matrix (alpha_i|alpha_j) = (alpha_i|alpha_i) C[i][j] / 2."""
+    norms2 = _norms2(rs.datum.type_label, rs.rank)
+    gram = [[Fraction(n * x, 2) for x in row]
+            for n, row in zip(norms2, rs.datum.cartan_matrix)]
+    return sum(x * gij * y for x, row in zip(rs.roots[a], gram)
+               for gij, y in zip(row, rs.roots[b]))
+
+
+@pytest.fixture(scope="session")
+def form():
+    """``form(rs, a, b)``, the Fraction oracle for (root_a | root_b)."""
+    return _form
 
 
 # -- the Fraction route to the cocharacter lattices, a test oracle --------

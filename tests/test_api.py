@@ -51,12 +51,14 @@ def test_public_names_have_callers(name):
     assert [x for x in exported if x not in used] == []
 
 
-@pytest.mark.parametrize("module", ["chevalley", "affine", "fixer"])
+@pytest.mark.parametrize("module", ["chevalley", "affine", "fixer", "rootsys",
+                                    "weyl", "tits", "cli"])
 def test_module_does_not_import_fractions(module):
-    """These layers are integral: the Chevalley constants, ad(e) and its
-    divided powers are ints, and so are the cocharacter lattices, in
-    fundamental-coweight coordinates, and their connecting characters;
-    ``fractions`` has no place there."""
+    """These layers are integral: the root data, the Chevalley constants,
+    ad(e) and its divided powers are ints, and so are the cocharacter
+    lattices, in fundamental-coweight coordinates, and their connecting
+    characters; ``fractions`` has no place there.  The Gram form that the
+    tests check the integer norms against lives in the tests."""
     path = Path(weylrep.__file__).parent / f"{module}.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -65,6 +67,25 @@ def test_module_does_not_import_fractions(module):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module)
     assert [m for m in imported if m.split(".")[0] == "fractions"] == []
+
+
+def test_cli_start_up_loads_no_heavy_modules():
+    """Start-up time: importing ``weylrep.cli`` and running the default
+    sweep in a fresh interpreter loads neither ``dataclasses`` (which
+    pulls in ``inspect``) nor ``typing`` nor ``fractions``.  The records
+    are ``collections.namedtuple`` subclasses, and only the test oracles
+    in ``intmat`` reach for ``Fraction``."""
+    src = Path(weylrep.__file__).resolve().parents[1]
+    code = ("import os, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from weylrep import cli\n"
+            "assert cli.main(['sweep', '--out', os.devnull]) == 0\n"
+            "heavy = ('dataclasses', 'inspect', 'fractions', 'typing')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_bench_selftest_passes():

@@ -67,7 +67,9 @@ def test_config_file_and_unknown_keys(tmp_path):
         load_config(str(tmp_path / "missing.json"))
 
 
-@pytest.mark.parametrize("checks", [5, ["cocycle"], {"cocylce": True}])
+@pytest.mark.parametrize("checks", [5, ["cocycle"], {"cocylce": True},
+                                    {"first_difference": "false"}, {"cocycle": 1},
+                                    {"fibers": 0}, {"fixer": None}])
 def test_bad_checks_are_config_errors(tmp_path, capsys, checks):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"checks": checks}))
@@ -75,6 +77,19 @@ def test_bad_checks_are_config_errors(tmp_path, capsys, checks):
         load_config(str(path))
     assert cli.main(["sweep", "--config", str(path)]) == 2
     assert "checks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["false", 1])
+def test_non_boolean_check_value_is_named(tmp_path, capsys, value):
+    """``"false"`` would be truthy and run the check: only JSON booleans
+    turn a check on or off, and the error names the check and the value."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"systems": [{"type": "A", "rank": 2}],
+                                "checks": {"first_difference": value}}))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'first_difference'" in captured.err and repr(value) in captured.err
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -340,10 +355,15 @@ def test_bad_config_types_are_config_errors(tmp_path, capsys, user):
     ({"tables": [{"type": "D", "rank": 5, "node": "5"}]}, "'5'"),
     ({"tables": [{"type": "A", "rank": 5, "node": True}]}, "True"),
     ({"tables": [{"type": "D", "rank": 5, "node": None}]}, "None"),
+    ({"tables": [{"type": "D", "rank": 5, "node": 4},
+                 {"type": "D", "rank": 5, "node": 5}]}, "D5"),
+    ({"tables": [{"type": "A", "rank": 3}, {"type": "A", "rank": 3}]}, "A3"),
 ])
 def test_bad_entry_keys_are_config_errors(tmp_path, capsys, user, named):
     """A system entry holds only type and rank, a table entry also an int
-    node; anything else is named in the error, before any check runs."""
+    node, and the report holds one table per system, so a system listed
+    twice in ``tables`` would lose a request; anything else is named in
+    the error, before any check runs."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(user))
     assert cli.main(["sweep", "--config", str(path)]) == 2

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -474,6 +473,6 @@ def test_corrupted_held_zeroth_row_trips_the_zeroth_row_check(get_rs,
     k = next(k for k, xk in enumerate(x) if xk % units.order)
     row0 = list(lat.pairing_row0)
     row0[k] += 1
-    bad = dataclasses.replace(lat, pairing_row0=tuple(row0))
+    bad = lat._replace(pairing_row0=tuple(row0))
     with pytest.raises(AssertionError, match="zeroth row"):
         solve(build_system(rs, bad, om, lam, scalars, units))

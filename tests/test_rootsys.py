@@ -208,22 +208,22 @@ def test_negation_and_pairing_symmetry(label, rank, get_rs):
 
 
 @pytest.mark.parametrize("label,rank", sorted(KNOWN_COUNTS))
-def test_norms_match_the_form(label, rank, get_rs):
+def test_norms_match_the_form(label, rank, get_rs, form):
     """The root norms, built from integer pairings, are ints that agree with
     the Gram form, and the coroot coordinates are ints too."""
     rs = get_rs(label, rank)
     for k in range(rs.nroots):
         assert type(rs.norms2[k]) is int
-        assert rs.norms2[k] == rs.form(k, k)
+        assert rs.norms2[k] == form(rs, k, k)
         assert all(type(c) is int for c in rs.coroots[k])
 
 
 @pytest.mark.parametrize("label,rank", sorted(KNOWN_COUNTS))
-def test_pairing_table_against_symmetrized_form(label, rank, get_rs):
+def test_pairing_table_against_symmetrized_form(label, rank, get_rs, form):
     """<a, b^vee> must equal 2(a|b)/(b|b) for the invariant form."""
     rs = get_rs(label, rank)
     simples = rs.simple_index
-    gram = [[rs.form(i, j) for j in simples] for i in simples]
+    gram = [[form(rs, i, j) for j in simples] for i in simples]
     # cols[b][i] = (alpha_i | root_b), so each (a|b) is one rank-length sum
     cols = [[sum(g * c for g, c in zip(row, r)) for row in gram] for r in rs.roots]
     for a, ra in enumerate(rs.roots):

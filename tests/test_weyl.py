@@ -125,7 +125,7 @@ def test_flip_set_inverse_pair(get_rs):
         assert flip_set(v.inverse(), v) == inversion_set(v)
 
 
-def test_flip_functional_against_form_oracle(get_rs):
+def test_flip_functional_against_form_oracle(get_rs, form):
     """Direct double loop with pairings recomputed from the bilinear form."""
     rs = get_rs("A", 3)
     rng = random.Random(17)
@@ -138,7 +138,7 @@ def test_flip_functional_against_form_oracle(get_rs):
         for b in rs.positive_indices():
             vb = v.perm[b]
             if not rs.is_positive(vb) and rs.is_positive(u.perm[vb]):
-                acc += int(2 * rs.form(a, b) / rs.norms2[b])
+                acc += int(2 * form(rs, a, b) / rs.norms2[b])
         assert flip_functional(u, v, a) == acc
 
 
