@@ -16,12 +16,12 @@ from weylrep.fixer import (
 )
 from weylrep.rootsys import CartanDatum, root_system
 from weylrep.tits import TitsElement
-from weylrep.weyl import identity, simple_reflection
+from weylrep.weyl import simple_reflection
 
 RS = root_system("A", 2)
 W = simple_reflection(RS, 1)
-LATTICE = CocharLattice("adjoint", ((1, 0), (0, 1)), 3, ((1, 0), (0, 1)), (-1, -1))
-OMEGA = OmegaElement(None, (0, 0), identity(RS), (0, 1, 2))
+LATTICE = affine.adjoint_lattice(RS)
+OMEGA = affine.omega_group(RS)[1]  # of order 3, so it has an R/S partition
 
 # one value per field, in field order
 RECORDS = [
@@ -47,11 +47,25 @@ RECORDS = [
     (ObstructionClass, {"value": 1, "modulus": 3, "d": 3}),
 ]
 
-CACHED = {CocharLattice: "pairing_snf", OmegaElement: "partition"}
+# record -> (cached table, the module and function that build it)
+CACHED = {CocharLattice: ("pairing_snf", intmat, "smith_normal_form"),
+          OmegaElement: ("partition", affine, "sigma_rs")}
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
-def test_record_value_semantics(cls, fields):
+def test_record_value_semantics(cls, fields, monkeypatch):
     assert cls._fields == tuple(fields)
     a, b = cls(**fields), cls(*fields.values())
     assert a == b and a is not b
@@ -71,32 +85,12 @@ def test_record_value_semantics(cls, fields):
         assert getattr(a, name) is fields[name]
     # only the records that cache a derived table keep an instance dict
     assert hasattr(a, "__dict__") == (cls in CACHED)
+    if cls in CACHED:
+        attr, owner, builder = CACHED[cls]
+        calls = _count_calls(monkeypatch, owner, builder)
+        first = getattr(a, attr)
+        assert getattr(a, attr) is first and len(calls) == 1
+        assert a == b and hash(a) == hash(b)  # the cached table is no field
+        # a copy starts without the table and builds an equal one
+        assert getattr(a._replace(), attr) == first and len(calls) == 2
 
-
-def _count_calls(monkeypatch, owner, name):
-    calls = []
-    real = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
-def test_pairing_snf_is_built_once(monkeypatch):
-    calls = _count_calls(monkeypatch, intmat, "smith_normal_form")
-    lat = affine.adjoint_lattice(root_system("A", 2))
-    first = lat.pairing_snf
-    assert lat.pairing_snf is first and len(calls) == 1
-    assert lat == affine.adjoint_lattice(root_system("A", 2))
-    assert lat._replace(name="copy").pairing_snf == first and len(calls) == 2
-
-
-def test_partition_is_built_once(monkeypatch):
-    calls = _count_calls(monkeypatch, affine, "sigma_rs")
-    om = next(o for o in affine.omega_group(root_system("A", 2)) if o.order() >= 3)
-    first = om.partition
-    assert om.partition is first and len(calls) == 1
-    assert isinstance(first, SigmaRSDatum)
