@@ -355,14 +355,12 @@ def sigma_rs(om: OmegaElement) -> SigmaRSDatum:
     _check_extremal(rs, p10, r_root, minimal=True)
     _check_extremal(rs, p11, rs.highest_root, minimal=False)
 
-    index = rs.index
-    roots = rs.roots
+    sum_index = rs.sum_index
+    p10_sorted = sorted(p10)
     triples = []
     for a in sorted(p01):
-        ca = roots[a]
-        for b in sorted(p10):
-            cb = roots[b]
-            g = index.get(tuple(x + y for x, y in zip(ca, cb)))
+        for b in p10_sorted:
+            g = sum_index(a, b)
             if g is not None:
                 if g not in p11:
                     raise AssertionError("triple sum escaped the (1,1) part")

@@ -50,15 +50,11 @@ class StructureConstantTable(namedtuple("StructureConstantTable", "rs convention
 
 def _special_pairs(rs: RootSystem, g: int):
     """Ordered positive pairs (a, b), a < b in the root order, summing to g."""
-    cg = rs.roots[g]
+    sum_index, neg = rs.sum_index, rs.neg
     out = []
-    for a in rs.positive_indices():
-        if a >= g:
-            break
-        ca = rs.roots[a]
-        diff = tuple(x - y for x, y in zip(cg, ca))
-        b = rs.index.get(diff)
-        if b is not None and b > a and rs.is_positive(b):
+    for a in range(rs.npos, g):
+        b = sum_index(g, neg[a])
+        if b is not None and b > a:
             out.append((a, b))
     return out
 
@@ -85,10 +81,7 @@ def constants_from_special_pairs(rs: RootSystem, assigned,
     lies in one such triple, so the table is total.
     """
     n: dict = {}
-    norms, neg, index, roots = rs.norms2, rs.neg, rs.index, rs.roots
-
-    def sum_index(a: int, b: int):
-        return index.get(tuple(x + y for x, y in zip(roots[a], roots[b])))
+    norms, neg, sum_index = rs.norms2, rs.neg, rs.sum_index
 
     def put(a: int, b: int, val: int) -> None:
         c = neg[sum_index(a, b)]
@@ -141,11 +134,11 @@ def _validate_strings(table: StructureConstantTable) -> None:
     N_{a,b} by that rule, antisymmetry and negation.
     """
     rs = table.rs
-    n, neg, roots, norms = table.n, rs.neg, rs.roots, rs.norms2
+    n, neg, norms = table.n, rs.neg, rs.norms2
     for a, b in n:
         if not rs.npos <= a < b:
             continue
-        c = neg[rs.index[tuple(x + y for x, y in zip(roots[a], roots[b]))]]
+        c = neg[rs.sum_index(a, b)]
         _, q = root_string(rs, a, b)
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             mag, rem = divmod((q + 1) * norms[z], norms[c])
@@ -176,8 +169,7 @@ def validate_jacobi(table: StructureConstantTable):
     nroots = rs.nroots
     rank = rs.rank
     neg = rs.neg
-    index = rs.index
-    roots = rs.roots
+    sum_index = rs.sum_index
     nmap = table.n
 
     def bracket(vec_r: dict, vec_h: list, a: int):
@@ -187,7 +179,7 @@ def validate_jacobi(table: StructureConstantTable):
         for b, cb in vec_r.items():
             if b == neg[a]:
                 continue  # handled below
-            s = index.get(tuple(x + y for x, y in zip(roots[b], roots[a])))
+            s = sum_index(b, a)
             if s is not None:
                 out_r[s] = out_r.get(s, 0) + cb * nmap[(b, a)]
         if neg[a] in vec_r:
@@ -238,6 +230,9 @@ def table_from_json(rs: RootSystem, doc) -> StructureConstantTable:
     if not isinstance(doc, dict) or doc.get("type") != rs.datum.type_label \
             or type(doc.get("rank")) is not int or doc.get("rank") != rs.rank:
         raise ValueError("fixture does not match the root system")
+    convention_id = doc.get("convention_id", "fixture")
+    if not isinstance(convention_id, str):
+        raise ValueError("fixture convention_id must be a string")
     rows = doc.get("constants")
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == 3 and row[2] != 0
@@ -245,13 +240,13 @@ def table_from_json(rs: RootSystem, doc) -> StructureConstantTable:
         raise ValueError("fixture constants must be [a, b, N] int triples "
                          "with N nonzero")
     n = {(a, b): v for a, b, v in rows}
-    roots, index = rs.roots, rs.index
+    sum_index = rs.sum_index
     pairs = {(a, b) for a in range(rs.nroots) for b in range(rs.nroots)
-             if tuple(x + y for x, y in zip(roots[a], roots[b])) in index}
+             if sum_index(a, b) is not None}
     if len(n) != len(rows) or n.keys() != pairs:
         raise ValueError("fixture constants must list each ordered pair of "
                          "roots with a root sum exactly once")
-    return StructureConstantTable(rs, doc.get("convention_id", "fixture"), n)
+    return StructureConstantTable(rs, convention_id, n)
 
 
 # -- conjugation scalars ------------------------------------------------
@@ -272,25 +267,19 @@ class ScalarTable(namedtuple("ScalarTable", "rs convention_id signed_perm")):
 
 
 def _ad_matrix(table: StructureConstantTable, a: int):
-    """Sparse columns of ad(e_a) on the basis (root vectors, then h_j)."""
+    """Sparse columns of ad(e_a) on the basis (root vectors, then h_j),
+    each a tuple of (target, value) pairs."""
     rs = table.rs
-    dim = rs.nroots + rs.rank
-    cols: list[dict] = [dict() for _ in range(dim)]
-    for b in range(rs.nroots):
-        if b == rs.neg[a]:
-            for j in range(rs.rank):
-                v = rs.coroots[a][j]
-                if v:
-                    cols[b][rs.nroots + j] = v
+    nroots, n, sum_index = rs.nroots, table.n, rs.sum_index
+    na = rs.neg[a]
+    cols = []
+    for b in range(nroots):
+        if b == na:
+            cols.append(tuple((nroots + j, v) for j, v in enumerate(rs.coroots[a]) if v))
             continue
-        s = rs.index.get(tuple(x + y for x, y in
-                               zip(rs.roots[a], rs.roots[b])))
-        if s is not None:
-            cols[b][s] = table.n[(a, b)]
-    for j in range(rs.rank):
-        v = rs._psc[a][j]
-        if v:
-            cols[rs.nroots + j][a] = -v
+        s = sum_index(a, b)
+        cols.append(((s, n[(a, b)]),) if s is not None else ())
+    cols.extend(((a, -v),) if v else () for v in rs._psc[a])
     return cols
 
 
@@ -307,13 +296,17 @@ def _exp_apply(cols, scale: int, vec: dict) -> dict:
         power += 1
         nxt: dict = {}
         for idx, coef in term.items():
-            for tgt, m in cols[idx].items():
+            for tgt, m in cols[idx]:
                 nxt[tgt] = nxt.get(tgt, 0) + coef * m
-        if any(v % power for v in nxt.values()):
-            raise AssertionError("a divided power of ad(e) is not integral")
-        term = {i: v * scale // power for i, v in nxt.items() if v}
-        for i, v in term.items():
-            out[i] = out.get(i, 0) + v
+        term = {}
+        for i, v in nxt.items():
+            if v:
+                q, rem = divmod(v, power)
+                if rem:
+                    raise AssertionError("a divided power of ad(e) is not integral")
+                q *= scale
+                term[i] = q
+                out[i] = out.get(i, 0) + q
         if power > len(cols):
             raise AssertionError("ad matrix is not nilpotent")
     return {i: v for i, v in out.items() if v}

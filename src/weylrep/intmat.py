@@ -15,6 +15,7 @@ calls them, and the tests use them as the ``Fraction`` oracle, so
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 __all__ = [
     "smith_normal_form",
@@ -114,11 +115,16 @@ def solve_mod(m, snf, b, n: int):
 
     ``snf`` is ``smith_normal_form(m)``, (d, u, v) with u m v = d: solve
     d y = u b coordinatewise, then x = v y, and check m x = b (mod n).
+    Raises ``ValueError`` unless b has one entry per row of m and n >= 1.
     """
     rows = len(m)
+    if len(b) != rows:
+        raise ValueError(f"right-hand side has {len(b)} entries for {rows} rows")
+    if n < 1:
+        raise ValueError(f"modulus {n} is not positive")
     cols = len(m[0]) if rows else 0
     d, u, v = snf
-    ub = [sum(u[i][j] * b[j] for j in range(rows)) % n for i in range(rows)]
+    ub = [sum(map(mul, row, b)) % n for row in u]
     y = [0] * cols
     for i in range(rows):
         di = d[i][i] if i < cols else 0
@@ -133,9 +139,9 @@ def solve_mod(m, snf, b, n: int):
         ni = n // g
         inv = pow((di // g) % ni, -1, ni) if ni > 1 else 0
         y[i] = ((ub[i] // g) * inv) % n
-    x = [sum(v[i][j] * y[j] for j in range(cols)) % n for i in range(cols)]
-    for i in range(rows):
-        if sum(m[i][j] * x[j] for j in range(cols)) % n != b[i] % n:
+    x = [sum(map(mul, row, y)) % n for row in v]
+    for row, bi in zip(m, b):
+        if sum(map(mul, row, x)) % n != bi % n:
             raise AssertionError("solve_mod produced a bad witness")
     return tuple(x)
 

@@ -4,6 +4,12 @@ Roots are stored in simple-root coordinates and coroots in simple-coroot
 coordinates; pairings, heights and root strings are all derived in exact
 integer arithmetic.  Cartan matrices follow the Bourbaki plate numbering,
 with entry ``[i][j]`` equal to ``<alpha_j, alpha_i^vee>``.
+
+Each root also has an integer code, sum_i c_i * 128^i over its
+coordinates, so a sum or difference of roots is one int addition and one
+dict lookup (``RootSystem.sum_index``, ``root_string``).  The code is
+exact while every coordinate lies in (-64, 64); a build checks that the
+farthest probe, b + 4a in a root string, stays inside that window.
 """
 
 from __future__ import annotations
@@ -133,6 +139,22 @@ class CartanDatum(namedtuple("CartanDatum", "type_label rank cartan_matrix")):
         return prev
 
 
+_CODE_SHIFT = 7  # bits per coordinate of a root code
+_CODE_REACH = 5  # b + 4a, the farthest root-string probe, has |coordinate| <= 5 max
+
+
+def _root_codes(roots) -> tuple[int, ...]:
+    """sum_i c_i * 128^i for each coordinate tuple, one code per root.
+
+    The codes of integer vectors with every coordinate in (-64, 64) are
+    distinct, so a probe inside that window can never alias a root.
+    """
+    top = max(abs(c) for r in roots for c in r)
+    if _CODE_REACH * top >= 1 << (_CODE_SHIFT - 1):
+        raise CartanError(f"root coefficient {top} is outside the root-code window")
+    return tuple(sum(c << (_CODE_SHIFT * i) for i, c in enumerate(r)) for r in roots)
+
+
 def _connected(m) -> bool:
     n = len(m)
     seen = {0}
@@ -161,9 +183,11 @@ class RootSystem:
 
     Immutable after construction.  Roots are indexed into a single list
     sorted by (height, lexicographic coefficients), so negative roots
-    occupy the first half and positive roots the second half.  Most
-    tables are built with the system; ``coset_chain``, ``packed_pairing``
-    and the full ``pairing`` table are built on first use.
+    occupy the first half and positive roots the second half.  ``code``
+    holds each root's integer code and ``code_index`` maps codes back to
+    indices.  Most tables are built with the system; ``index``,
+    ``coset_chain``, ``packed_pairing`` and the full ``pairing`` table
+    are built on first use.
     """
 
     def __init__(self, datum: CartanDatum):
@@ -182,20 +206,21 @@ class RootSystem:
         allroots = sorted(pos | {tuple(-c for c in r) for r in pos},
                           key=lambda r: (sum(r), r))
         self.roots: tuple[tuple[int, ...], ...] = tuple(allroots)
-        self.index: dict[tuple[int, ...], int] = {r: k for k, r in enumerate(allroots)}
         self.nroots = len(allroots)
         self.npos = len(pos)
         if self.nroots != 2 * self.npos:
             raise CartanError("root negation is not an involution")
 
+        self.code = code = _root_codes(allroots)
+        self.code_index = cindex = {c: k for k, c in enumerate(code)}
+
         self.identity_perm = tuple(range(self.nroots))
         self.heights = tuple(sum(r) for r in self.roots)
-        self.neg = tuple(self.index[tuple(-c for c in r)] for r in self.roots)
+        self.neg = tuple(cindex[-c] for c in code)
 
         # pairing with simple coroots: psc[k][i] = <root_k, alpha_i^vee>
-        self._psc = psc = tuple(
-            tuple(sum(r[j] * cartan[i][j] for j in range(self.rank))
-                  for i in range(self.rank)) for r in self.roots)
+        self._psc = psc = tuple(tuple(sum(map(mul, r, row)) for row in cartan)
+                                for r in self.roots)
         # 2(r|r) = sum_i r_i * (alpha_i|alpha_i) * <r, alpha_i^vee>, an even integer
         self.norms2 = tuple(sum(x * n * y for x, n, y in zip(r, norms2, p)) // 2
                             for r, p in zip(self.roots, psc))
@@ -226,16 +251,23 @@ class RootSystem:
             if sum(map(mul, psc[k], self.rho_check_twice)) != 2 * self.heights[k]:
                 raise CartanError("height/rho-check identity failed")
 
-        self.simple_index = tuple(
-            self.index[tuple(1 if j == i else 0 for j in range(self.rank))]
-            for i in range(self.rank))
+        steps = [1 << (_CODE_SHIFT * i) for i in range(self.rank)]  # codes of alpha_i
+        self.simple_index = tuple(cindex[s] for s in steps)
 
-        # permutation of root indices induced by each simple reflection
+        # permutation of root indices induced by each simple reflection:
+        # s_i(r) = r - <r, alpha_i^vee> alpha_i
         self.simple_perms = tuple(
-            tuple(self.index[r[:i] + (r[i] - p[i],) + r[i + 1:]]
-                  for r, p in zip(self.roots, psc)) for i in range(self.rank))
+            tuple(cindex[c - p[i] * s] for c, p in zip(code, psc))
+            for i, s in enumerate(steps))
         # simple_getters[i](perm) is perm composed with s_i on the right
         self.simple_getters = tuple(itemgetter(*p) for p in self.simple_perms)
+
+    def sum_index(self, a: int, b: int) -> int | None:
+        """Index of root_a + root_b, or None if the sum is not a root.
+
+        For the difference root_a - root_b pass ``neg[b]``.
+        """
+        return self.code_index.get(self.code[a] + self.code[b])
 
     def coroot_sum(self, roots) -> tuple[int, ...]:
         """sum_{b in roots} b^vee in simple-coroot coordinates.
@@ -246,6 +278,12 @@ class RootSystem:
         co = self.coroots
         rows = [co[b] for b in roots]
         return tuple(map(sum, zip((0,) * self.rank, *rows)))
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Root index by coordinate tuple, built on first use; the package
+        adds roots by their codes (``sum_index``)."""
+        return {r: k for k, r in enumerate(self.roots)}
 
     @cached_property
     def pairing(self) -> tuple[tuple[int, ...], ...]:
@@ -372,16 +410,19 @@ def root_string(rs: RootSystem, a: int, b: int) -> tuple[int, int]:
     """
     if b == a or b == rs.neg[a]:
         raise ValueError("root string undefined for b proportional to a")
-    va = rs.roots[a]
-    vb = rs.roots[b]
+    cindex = rs.code_index
+    start = rs.code[b]
 
     def reach(step: int) -> int:
         n = 0
-        while tuple(x + (n + 1) * step * y for x, y in zip(vb, va)) in rs.index:
+        probe = start + step
+        while probe in cindex:
             n += 1
+            probe += step
         return n
 
-    return reach(1), reach(-1)
+    step = rs.code[a]
+    return reach(step), reach(-step)
 
 
 def rootsys_to_json(rs: RootSystem) -> dict:

@@ -22,7 +22,7 @@ from weylrep.chevalley import (
     table_to_json,
     validate_jacobi,
 )
-from weylrep.rootsys import root_string
+from weylrep.rootsys import root_string, root_system
 
 EXHAUSTIVE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
                     ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6),
@@ -180,6 +180,16 @@ def test_table_from_json_rejects_non_int_or_zero_constants(get_rs, value):
     doc["constants"][0][2] = value
     with pytest.raises(ValueError, match="nonzero"):
         table_from_json(rs, doc)
+
+
+@pytest.mark.parametrize("value", [5, None, ["x"]])
+def test_table_from_json_rejects_a_non_string_convention_id(get_rs, value):
+    rs = get_rs("A", 2)
+    doc = dict(table_to_json(build_constants(rs)), convention_id=value)
+    with pytest.raises(ValueError, match="convention_id must be a string"):
+        table_from_json(rs, doc)
+    del doc["convention_id"]
+    assert table_from_json(rs, doc).convention_id == "fixture"
 
 
 def _signs_only(table, pair):
@@ -420,3 +430,43 @@ def test_b2_relation_value_is_convention_independent(get_rs):
             table = constants_from_special_pairs(
                 rs, {(short, rs.simple_index[0]): s1, (short, g): s2}, "probe")
             assert evaluate_character(scalar_table(table), rel, s) == -1
+
+
+class _CountingDict(dict):
+    """A dict that counts its key lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("label,rank,classes", [("E", 6, 2), ("G", 2, 0)])
+def test_lattice_builders_look_up_no_coordinate_tuples(label, rank, classes,
+                                                       monkeypatch):
+    """Constants, scalar tables, the Jacobi check and the R/S partitions
+    add roots by their codes: ``rs.index`` is never read."""
+    rs = root_system(label, rank)
+    a3 = root_system("A", 3)
+    counters = []
+    for system in (rs, a3):
+        counters.append(_CountingDict(system.index))
+        monkeypatch.setattr(system, "index", counters[-1])
+    assert counters[0][rs.roots[0]] == 0 and counters[0].lookups == 1
+    counters[0].lookups = 0
+    scalar_table(build_constants(rs))
+    assert validate_jacobi(build_constants(a3)) is None
+    big = [om for om in affine.omega_group(rs) if om.order() >= 3]
+    assert len(big) == classes
+    for om in big:
+        affine.sigma_rs(om)
+    assert [c.lookups for c in counters] == [0, 0]

@@ -146,6 +146,18 @@ def test_malformed_constants_fixture_is_config_error(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: bad constants fixture")
 
 
+def test_non_string_convention_id_fixture_is_config_error(tmp_path, capsys):
+    doc = dict(table_to_json(build_constants(root_system("A", 2))), convention_id=5)
+    fixture = tmp_path / "constants.json"
+    fixture.write_text(json.dumps(doc))
+    path = _characters_config(tmp_path, str(fixture))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad constants fixture: fixture "
+                                   "convention_id must be a string")
+
+
 def test_corrupted_constants_fixture_fails_with_named_triple(tmp_path, capsys):
     rs = root_system("A", 2)
     doc = table_to_json(build_constants(rs))

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,11 +38,13 @@ def test_snf_diagonalizes_with_unimodular_transforms(m):
 
 
 @given(small_matrix, st.sampled_from([2, 3, 4, 5, 6, 12]),
-       st.integers(min_value=0, max_value=10 ** 6))
+       st.integers(min_value=0, max_value=10 ** 6), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_solve_mod_agrees_with_brute_force(m, n, seed):
+def test_solve_mod_agrees_with_brute_force(m, n, seed, tuple_rows):
     rows, cols = len(m), len(m[0])
     b = [(seed // (n ** i)) % n for i in range(rows)]
+    if tuple_rows:  # the shape cocharacter lattices hold their pairing in
+        m = tuple(map(tuple, m))
     x = solve_mod(m, smith_normal_form(m), b, n)
     if cols <= 3 and n <= 6:
         brute = None
@@ -54,6 +57,26 @@ def test_solve_mod_agrees_with_brute_force(m, n, seed):
     if x is not None:
         for i in range(rows):
             assert sum(m[i][j] * x[j] for j in range(cols)) % n == b[i] % n
+
+
+SHAPE_M = [[1, 0], [0, 1]]
+
+
+def test_solve_mod_rejects_a_long_right_hand_side():
+    """An extra entry of b has no row to check it against."""
+    with pytest.raises(ValueError, match="3 entries for 2 rows"):
+        solve_mod(SHAPE_M, smith_normal_form(SHAPE_M), [1, 1, 5], 7)
+
+
+def test_solve_mod_rejects_a_short_right_hand_side():
+    with pytest.raises(ValueError, match="1 entries for 2 rows"):
+        solve_mod(SHAPE_M, smith_normal_form(SHAPE_M), [1], 7)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_solve_mod_rejects_a_modulus_below_one(n):
+    with pytest.raises(ValueError, match="not positive"):
+        solve_mod(SHAPE_M, smith_normal_form(SHAPE_M), [1, 1], n)
 
 
 def test_hermite_row_basis_canonicalizes():

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from operator import add, sub
 
 import pytest
 
@@ -310,3 +311,67 @@ def test_coroot_sum_matches_the_table_rows(label, rank, get_rs):
             assert sum(x * y for x, y in zip(rs._psc[a], s)) == \
                 sum(rs.pairing[a][b] for b in roots)
     assert rs.coroot_sum(rs.positive_indices()) == rs.rho_check_twice
+
+
+# -- root codes against the coordinate-tuple route --------------------------
+
+CODE_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+              + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+              + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def _tuple_root_string(rs, a, b):
+    """``root_string`` by coordinate tuples, the route root codes replace."""
+    va = rs.roots[a]
+    vb = rs.roots[b]
+
+    def reach(step):
+        n = 0
+        while tuple(x + (n + 1) * step * y for x, y in zip(vb, va)) in rs.index:
+            n += 1
+        return n
+
+    return reach(1), reach(-1)
+
+
+@pytest.mark.parametrize("label,rank", CODE_TYPES)
+def test_root_codes_match_the_coordinate_tuples(label, rank, get_rs):
+    """Sums, differences, root strings and the code-built tables agree
+    with their coordinate-tuple formulas on every ordered pair."""
+    rs = get_rs(label, rank)
+    roots, index = rs.roots, rs.index
+    assert len(set(rs.code)) == rs.nroots
+    assert all(rs.code_index[c] == k for k, c in enumerate(rs.code))
+    for a, ra in enumerate(roots):
+        for b, rb in enumerate(roots):
+            assert rs.sum_index(a, b) == index.get(tuple(map(add, ra, rb)))
+            assert rs.sum_index(a, rs.neg[b]) == index.get(tuple(map(sub, ra, rb)))
+            if b != a and b != rs.neg[a]:
+                assert root_string(rs, a, b) == _tuple_root_string(rs, a, b)
+    cartan = rs.datum.cartan_matrix
+    psc = tuple(tuple(sum(r[j] * cartan[i][j] for j in range(rank))
+                      for i in range(rank)) for r in roots)
+    assert rs._psc == psc
+    assert rs.neg == tuple(index[tuple(-c for c in r)] for r in roots)
+    assert rs.simple_index == tuple(
+        index[tuple(1 if j == i else 0 for j in range(rank))] for i in range(rank))
+    assert rs.simple_perms == tuple(
+        tuple(index[r[:i] + (r[i] - p[i],) + r[i + 1:]] for r, p in zip(roots, psc))
+        for i in range(rank))
+
+
+def test_root_codes_refuse_coefficients_past_the_window(monkeypatch):
+    """Codes alias outside (-64, 64): (64, 0) and (-64, 1) share 64.  A
+    largest coefficient of 12 keeps b + 4a inside; 13 must raise, and so
+    must a root system build that holds such a root."""
+    assert 64 + 0 * 128 == -64 + 1 * 128
+    assert rootsys._root_codes([(12, -12), (0, 1)]) == (12 - 12 * 128, 128)
+    for planted in ((13, 0), (0, -13)):
+        with pytest.raises(CartanError, match="root-code window"):
+            rootsys._root_codes([(1, 0), planted])
+
+    closure = rootsys._close_positive_roots
+    monkeypatch.setattr(rootsys, "_close_positive_roots",
+                        lambda cartan, rank: closure(cartan, rank) | {(13, 1)})
+    with pytest.raises(CartanError, match="coefficient 13 is outside the root-code window"):
+        root_system("A", 2)
