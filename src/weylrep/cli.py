@@ -70,12 +70,13 @@ def _sweep_first_difference(ctx, cfg, rng):
     else:
         elements = (weyl.random_element(rs, rng) for _ in range(cfg["samples"]))
         mode = "sampled"
+    check, nroots = weyl.check_first_difference, rs.nroots
     count = 0
     for w in elements:
-        for a in range(rs.nroots):
-            count += 1
-            if not weyl.check_first_difference(w, a):
-                return mode, count, {"word": list(w.word), "root": list(rs.roots[a])}
+        for a in range(nroots):
+            if not check(w, a):
+                return mode, count + a + 1, {"word": list(w.word), "root": list(rs.roots[a])}
+        count += nroots
         if not weyl.check_flip_symmetry(w):
             return mode, count, {"word": list(w.word), "failure": "flip symmetry"}
     return mode, count, None

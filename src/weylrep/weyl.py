@@ -13,12 +13,15 @@ two-step flip set ``flip_set(u, v)`` of positive roots sent negative by
 built on it.
 
 The first difference at a root a pairs a with the inversion-set coroot
-sum S(w) = sum_{b in inv(w)} b^vee, which ``inversion_set`` gives.  The
-pairing is linear in S(w), so one packed integer product pairs S(w)
-with every root at once (``RootSystem.packed_pairing``); the vector of
-all pairings is kept for the last element checked, not cached per
-element.  Each value is checked against the height drop read off
-``perm``.
+sum S(w) = sum_{b in inv(w)} b^vee.  ``iter_group`` carries S along its
+breadth-first search: if w(alpha_i) > 0 then inv(w s_i) is
+s_i(inv(w)) with alpha_i added, so S(w s_i) = S(w) - (<alpha_i, S(w)> - 1)
+alpha_i^vee, one Cartan row read and one coordinate changed.  Any other
+element builds S from ``inversion_set``.  The pairing is linear in S(w),
+so one packed integer product pairs S(w) with every root at once
+(``RootSystem.packed_pairing``), and each element decides all its roots
+on its first check: the verdict list compares that vector with the
+height drops read off ``perm`` and is kept on the element.
 ``iter_group`` yields W breadth-first by length, one length level at a
 time, and composes only the moves that go up in length; an exhaustive
 sweep reads it element by element, and ``enumerate_group`` is its list.
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from math import factorial
-from operator import itemgetter, le, mul
+from operator import eq, itemgetter, le, mul, sub
 from sys import byteorder
 
 from .rootsys import RootSystem
@@ -64,10 +67,13 @@ class WeylElement:
     """A Weyl group element: the permutation it induces on the root list.
 
     ``perm[k]`` is the index of ``w(root_k)``.  Words use 1-based simple
-    indices following the Bourbaki numbering.
+    indices following the Bourbaki numbering.  An element that
+    ``iter_group`` yields carries S(w) in ``_coroot_sum``; every element
+    keeps its first-difference verdicts in ``_verdicts`` once checked.
     """
 
-    __slots__ = ("rs", "perm", "_word", "_walk", "_length", "_hash")
+    __slots__ = ("rs", "perm", "_word", "_walk", "_length", "_hash",
+                 "_coroot_sum", "_verdicts")
 
     def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
         self.rs = rs
@@ -76,6 +82,8 @@ class WeylElement:
         self._walk = None
         self._length = None
         self._hash = None
+        self._coroot_sum = None
+        self._verdicts = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.perm == other.perm
@@ -172,12 +180,13 @@ class WeylElement:
     def coroot_sum(self) -> tuple[int, ...]:
         """sum_{b in inv(w)} b^vee in simple-coroot coordinates.
 
-        Equals rho^vee - w^-1(rho^vee); it is built from the inversion set,
-        not from that closed form, so first-difference checks stay two-route.
-        Computed on each access and not kept: an exhaustive sweep reads it
-        once per element.
+        Equals rho^vee - w^-1(rho^vee); it is never taken from that closed
+        form, so first-difference checks stay two-route.  An element from
+        ``iter_group`` returns the S carried along the search; any other
+        builds it from the inversion set on each access, without keeping it.
         """
-        return self.rs.coroot_sum(inversion_set(self))
+        s = self._coroot_sum
+        return self.rs.coroot_sum(inversion_set(self)) if s is None else s
 
     def order(self) -> int:
         n, x = 1, self
@@ -257,31 +266,23 @@ def _pairing_vector(w: WeylElement) -> list[int]:
     return memoryview(packed.to_bytes(nbytes, byteorder)).cast(fmt).tolist()
 
 
-# the permutation and heights of the last element checked, and its pairing
-# vector; neither key refers to the RootSystem, so the memo keeps none alive.
-# The keys are the objects, not their ids: a streamed element is freed after
-# its check, and a new permutation could reuse a freed one's address.
-_last_pairing = [None, None, None]
-
-
 def check_first_difference(w: WeylElement, a: int) -> bool:
     """Inversion-set coroot sum against the height drop along w.
 
     Verifies sum_{b in inv(w)} <a, b^vee> == ht(a) - ht(w(a)).  The left
-    side is <a, S(w)> with S(w) = ``w.coroot_sum``, built from inv(w):
-    ``_pairing_vector`` pairs S(w) with every root at once, and the vector
-    of the last element checked is kept, so a sweep over all roots of one
-    element builds it once and no element keeps it.  The right side reads
-    only heights and ``w.perm``, so the two sides still come from
-    independent routes.
+    side is <a, S(w)> with S(w) = ``w.coroot_sum``: carried along the
+    search for an ``iter_group`` element, built from inv(w) otherwise.
+    The right side reads only heights and ``w.perm``, so the two sides
+    come from independent routes.  The first call on an element decides
+    every root at once, comparing ``_pairing_vector`` with all the height
+    drops, and keeps the verdicts on the element; later calls index them.
     """
-    perm = w.perm
-    heights = w.rs.heights
-    last_perm, last_heights, vec = _last_pairing
-    if last_perm is not perm or last_heights is not heights:
-        vec = _pairing_vector(w)
-        _last_pairing[:] = perm, heights, vec
-    return vec[a] == heights[a] - heights[perm[a]]
+    verdicts = w._verdicts
+    if verdicts is None:
+        heights = w.rs.heights
+        drops = map(sub, heights, itemgetter(*w.perm)(heights))
+        verdicts = w._verdicts = list(map(eq, _pairing_vector(w), drops))
+    return verdicts[a]
 
 
 def check_flip_symmetry(w: WeylElement) -> bool:
@@ -290,11 +291,13 @@ def check_flip_symmetry(w: WeylElement) -> bool:
     Both sides are {b > 0 : w^-1(b) < 0, w^-2(b) > 0} for any bijection
     w of the roots, so the identity says nothing about the root system:
     it tests ``__mul__`` and ``inverse``, the operations it relies on.
+    The two flip sets are taken inline, as in ``flip_set``.
     """
-    w2 = w * w
-    lhs = frozenset(w2.perm[k] for k in flip_set(w, w))
-    wi = w.inverse()
-    return lhs == flip_set(wi, wi)
+    npos = w.rs.npos
+    pos = w.rs.positive_indices()
+    p, p2, pi = w.perm, (w * w).perm, w.inverse().perm
+    lhs = {p2[k] for k in pos if p[k] < npos and p[p[k]] >= npos}
+    return lhs == {k for k in pos if pi[k] < npos and pi[pi[k]] >= npos}
 
 
 def longest_element(rs: RootSystem, nodes=None) -> WeylElement:
@@ -338,20 +341,31 @@ def iter_group(rs: RootSystem) -> Iterator[WeylElement]:
     level l.  Only the permutations of the level being yielded and of
     the level being built are held, so a sweep that drops each element
     after its check never holds all of W.
+
+    Each element carries S(w) = sum_{b in inv(w)} b^vee (``coroot_sum``),
+    taken from the parent that reaches it first: on such a move inv(p s_i)
+    is s_i(inv(p)) with alpha_i added, so only coordinate i changes, to
+    S_i + 1 - <alpha_i, S(p)>, read from row i of the Cartan pairings
+    <alpha_i, alpha_j^vee>.
     """
     npos = rs.npos
-    moves = tuple(zip(rs.simple_index, rs.simple_getters))
-    yield identity(rs)
-    level = (rs.identity_perm,)
+    # <alpha_i, alpha_j^vee> is entry (j, i) of the Cartan matrix
+    rows = tuple(zip(*rs.datum.cartan_matrix))
+    moves = tuple(zip(range(rs.rank), rs.simple_index, rs.simple_getters, rows))
+    level = {rs.identity_perm: (0,) * rs.rank}
     while level:
+        for x, s in level.items():
+            w = WeylElement(rs, x)
+            w._coroot_sum = s
+            yield w
         nxt = {}
-        for p in level:
-            for s, getter in moves:
-                if p[s] >= npos:
-                    nxt[getter(p)] = None
+        for p, s in level.items():
+            for i, a, getter, row in moves:
+                if p[a] >= npos:
+                    x = getter(p)
+                    if x not in nxt:
+                        nxt[x] = s[:i] + (s[i] + 1 - sum(map(mul, row, s)),) + s[i + 1:]
         level = nxt
-        for x in level:
-            yield WeylElement(rs, x)
 
 
 def enumerate_group(rs: RootSystem) -> list[WeylElement]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylrep import affine, weyl
+from weylrep import affine, chevalley, weyl
 from weylrep.chevalley import (
     StructureConstantTable,
     _validate_strings,
@@ -138,6 +138,30 @@ def test_corrupted_table_fails_jacobi(get_rs):
 def _with_entry(table, pair, val):
     return StructureConstantTable(table.rs, table.convention_id,
                                   {**table.n, pair: val})
+
+
+def _jacobi_full_loop(table):
+    """The oracle: every triple x < y, z in order, with no weight filter."""
+    first_failure = chevalley._jacobi_first_failure(table)
+    n = table.rs.nroots
+    for x in range(n):
+        for y in range(x + 1, n):
+            z = first_failure(x, y, range(n))
+            if z is not None:
+                return (x, y, z)
+    return None
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("G", 2), ("F", 4), ("D", 5)])
+def test_jacobi_closed_triples_give_the_full_loop_witness(label, rank, get_scalars):
+    """Planted single-sign faults fail both loops on the same triple."""
+    table, _ = get_scalars(label, rank)
+    rng = random.Random(f"jacobi/{label}{rank}")
+    for pair in rng.sample(sorted(table.n), 10):
+        bad = _with_entry(table, pair, -table.n[pair])
+        witness = validate_jacobi(bad)
+        assert witness is not None
+        assert witness == _jacobi_full_loop(bad)
 
 
 # every entry of G2, B3 and C3; 60 seeded entries of F4 and E6

@@ -611,7 +611,11 @@ def _replay_second_difference(system, class_node):
 def test_coroot_sum_route_is_load_bearing(monkeypatch, system):
     """A fault in ``RootSystem.coroot_sum`` that spares the full positive
     set, so the rho-check self-test at build time still passes, fails both
-    height-difference checks with witnesses that replay."""
+    height-difference checks with witnesses that replay.  The exhaustive
+    element sweep carries S(w) along ``iter_group`` and calls no
+    ``coroot_sum`` (``test_carried_coroot_sum_is_load_bearing`` faults that
+    route), so the first difference runs sampled, where every element
+    builds S(w) from its inversion set."""
     real = RootSystem.coroot_sum
 
     def shifted(rs, roots):
@@ -622,9 +626,12 @@ def test_coroot_sum_route_is_load_bearing(monkeypatch, system):
         return (s[0] + 1,) + s[1:]
 
     monkeypatch.setattr(RootSystem, "coroot_sum", shifted)
-    report = run_sweep(_one_check_config([system], first_difference=True,
-                                         second_difference=True))
+    cfg = _one_check_config([system], first_difference=True,
+                            second_difference=True)
+    cfg["budget"] = 0
+    report = run_sweep(cfg)
     first, second = report["checks"]
+    assert first["mode"] == "sampled"
     assert not first["passed"] and not second["passed"]
     sysdef = {"type": system[0], "rank": int(system[1:])}
     word, root = first["counterexample"]["word"], first["counterexample"]["root"]
@@ -639,6 +646,34 @@ def test_coroot_sum_route_is_load_bearing(monkeypatch, system):
     assert replay() == (False, second["counterexample"])
     monkeypatch.undo()
     assert replay() == (True, None)
+
+
+@pytest.mark.parametrize("system", ["A3", "D5"])
+def test_carried_coroot_sum_is_load_bearing(monkeypatch, system):
+    """One wrong entry of the Cartan row that ``iter_group`` reads to carry
+    S(w) fails the exhaustive sweep.  The witness is the element at its
+    position in ``iter_group`` order, and it is the first element whose
+    carried S differs from the inversion-set S."""
+    def faulted(label, rank):
+        rs = root_system(label, rank)
+        m = [list(row) for row in rs.datum.cartan_matrix]
+        m[1][0] -= 1  # <alpha_1, alpha_2^vee>, read by every move s_1
+        rs.datum = rs.datum._replace(cartan_matrix=tuple(map(tuple, m)))
+        return rs
+
+    monkeypatch.setattr(cli, "root_system", faulted)
+    (entry,) = run_sweep(_one_check_config([system], first_difference=True))["checks"]
+    assert entry["mode"] == "exhaustive" and not entry["passed"]
+    rs = faulted(system[0], int(system[1:]))
+    position, k = divmod(entry["count"] - 1, rs.nroots)
+    assert entry["counterexample"]["root"] == list(rs.roots[k])
+    for n, w in enumerate(weyl.iter_group(rs)):
+        if n == position:
+            break
+        assert w.coroot_sum == rs.coroot_sum(weyl.inversion_set(w))
+    assert list(w.word) == entry["counterexample"]["word"]
+    assert w.coroot_sum != rs.coroot_sum(weyl.inversion_set(w))
+    assert not weyl.check_first_difference(w, k)
 
 
 def test_first_difference_memo_keeps_no_root_system_alive(monkeypatch):
@@ -927,10 +962,14 @@ def test_sampled_first_difference_witness_is_the_kth_draw(monkeypatch):
 @pytest.mark.parametrize("budget, mode", [(10_000, "exhaustive"), (0, "sampled")])
 def test_first_difference_calls_match_the_report_count(monkeypatch, budget, mode):
     """One ``check_first_difference`` call per element and root, the
-    count the benchmark's traced cross-check compares."""
+    count the benchmark's traced cross-check compares.  Only sampled
+    elements build an inversion set, one each; the exhaustive sweep reads
+    the S(w) carried along ``iter_group``."""
     calls = _count_calls(monkeypatch, weyl, "check_first_difference")
+    inversions = _count_calls(monkeypatch, weyl, "inversion_set")
     cfg = {**_one_check_config(["D4"], first_difference=True), "budget": budget}
     (got,) = run_sweep(cfg)["checks"]
     assert (got["mode"], got["passed"]) == (mode, True)
     assert len(calls) == got["count"]
+    assert len(inversions) == (0 if budget else cfg["samples"])
     assert got["count"] == (192 if budget else cfg["samples"]) * 24

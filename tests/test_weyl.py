@@ -641,6 +641,34 @@ def test_coset_chain_and_unrank_match_their_pins(label, rank, get_rs):
     assert (_digest(chain), _digest(unranked)) == CHAIN_PINS[label, rank]
 
 
+@pytest.mark.parametrize("label,rank", [("A", 4), ("B", 4), ("C", 3), ("D", 5),
+                                        ("F", 4), ("G", 2)])
+def test_carried_coroot_sum_is_the_inversion_set_sum(label, rank, get_rs):
+    rs = get_rs(label, rank)
+    for w in weyl.iter_group(rs):
+        assert w._coroot_sum == rs.coroot_sum(inversion_set(w))
+
+
+def test_first_difference_verdicts_follow_the_element_not_its_perm(monkeypatch):
+    """Elements built by ``identity`` and ``simple_reflection`` share the
+    tuples ``rs.identity_perm`` and ``rs.simple_perms[i]``.  A fresh one,
+    checked after a fault is planted in the coroot route, gets no verdict
+    of the element checked just before on the same permutation."""
+    rs = root_system("A", 3)
+    a = rs.simple_index[0]
+    real = RootSystem.coroot_sum
+
+    def shifted(rs, roots):
+        s = real(rs, roots)
+        return (s[0] + 1,) + s[1:]
+
+    for make in (identity, functools.partial(simple_reflection, i=2)):
+        assert check_first_difference(make(rs), a)
+        with monkeypatch.context() as patch:
+            patch.setattr(RootSystem, "coroot_sum", shifted)
+            assert not check_first_difference(make(rs), a)
+
+
 def test_first_difference_memo_follows_the_element(get_rs):
     """Interleaved calls give the answers of calls in sweep order, also on
     a non-group permutation where some answers are False."""
