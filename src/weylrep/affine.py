@@ -66,14 +66,28 @@ class CocharLattice(namedtuple("CocharLattice",
     ``pairing[i][k]`` is <alpha_i, basis_k>, its transpose, and
     ``pairing_row0[k]`` is <-theta, basis_k>, the row of the affine node
     alpha_0 = delta - theta.  The lattice is factored once:
-    ``pairing_row0`` is kept from construction, and ``pairing_snf`` is
-    built on first use (so the record keeps an instance dict).
+    ``pairing_row0`` is kept from construction, and ``pairing_snf`` and
+    one prepared solver per modulus (``mod_solver``) are built on first
+    use (so the record keeps an instance dict, which a ``_replace`` copy
+    starts without).
     """
 
     @cached_property
     def pairing_snf(self):
         """``intmat.smith_normal_form(pairing)``, for every solve on this lattice."""
         return intmat.smith_normal_form(self.pairing)
+
+    @cached_property
+    def _mod_solvers(self):
+        return {}
+
+    def mod_solver(self, n: int):
+        """``intmat.prepare_mod`` of the pairing mod n, built once per n."""
+        solver = self._mod_solvers.get(n)
+        if solver is None:
+            solver = self._mod_solvers[n] = intmat.prepare_mod(
+                self.pairing, self.pairing_snf, n)
+        return solver
 
 
 def _make_lattice(rs: RootSystem, name: str, extra_rows=()) -> CocharLattice:

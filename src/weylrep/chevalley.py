@@ -336,12 +336,18 @@ def _exp_apply(cols, scale: int, vec: dict) -> dict:
 
 
 def _ad_n_columns(table: StructureConstantTable, i: int) -> list[dict]:
-    """Ad(n_i) = exp(ad e) exp(-ad f) exp(ad e) on the root vectors, i 0-based."""
+    """Ad(n_i) = exp(ad e) exp(-ad f) exp(ad e) on the root vectors, i 0-based.
+
+    A root vector that both ad(e) and ad(f) kill (k +- alpha_i is not a
+    root and k != +-alpha_i, which the root system alone decides) is
+    fixed by all three exponentials, so it is taken as is.
+    """
     rs = table.rs
     e = rs.simple_index[i]
     ad_e = _ad_matrix(table, e)
     ad_f = _ad_matrix(table, rs.neg[e])
     return [_exp_apply(ad_e, 1, _exp_apply(ad_f, -1, _exp_apply(ad_e, 1, {k: 1})))
+            if ad_e[k] or ad_f[k] else {k: 1}
             for k in range(rs.nroots)]
 
 
@@ -349,9 +355,11 @@ def scalar_table(table: StructureConstantTable) -> ScalarTable:
     """Exponentiate n_i = u_i(1) u_{-i}(-1) u_i(1) in the adjoint action.
 
     Each column is the three exponentials applied to one root vector, in
-    integers, with every divided power an exact division.  The operator
-    must act on every root vector as +-(another root vector); anything
-    else is a corrupted constants table.
+    integers, with every divided power an exact division; a root vector
+    that ad(e_i) and ad(f_i) both kill skips them, as they fix it
+    (``_ad_n_columns``).  The operator must act on every root
+    vector as +-(another root vector), the one ``simple_perms`` names;
+    anything else is a corrupted constants table.
     """
     rs = table.rs
     perms = []

@@ -208,15 +208,18 @@ def _sweep_fixer(ctx, cfg, rng):
                 for _ in range(cfg["lambda_samples"]):
                     lam = fixer.random_functional(rng, units, rs.rank)
                     count += 1
-                    witness = {"lattice": lat.name, "class_node": om.class_node,
-                               "q": q, "lambda": list(lam.values)}
                     try:
                         system = fixer.build_system(rs, lat, om, lam, ctx.scalars,
                                                     units, signs)
                     except fixer.InconsistentSystemError as exc:
-                        return "sampled", count, {**witness, "failure": str(exc)}
-                    if fixer.solve(system) is None:
-                        return "sampled", count, witness
+                        failure = {"failure": str(exc)}
+                    else:
+                        if fixer.solve(system) is not None:
+                            continue
+                        failure = {}
+                    return "sampled", count, {
+                        "lattice": lat.name, "class_node": om.class_node,
+                        "q": q, "lambda": list(lam.values), **failure}
     return "sampled", count, None
 
 

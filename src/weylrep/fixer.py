@@ -13,11 +13,12 @@ stabilizer projections.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import gcd
 from operator import mul
 
 from . import intmat
-from .affine import CocharLattice, OmegaElement, adjoint_lattice, affine_nodes
+from .affine import CocharLattice, OmegaElement, adjoint_lattice, affine_nodes, marks
 from .chevalley import ScalarTable, c_word
 from .rootsys import RootSystem
 
@@ -63,8 +64,7 @@ class GenericFunctional(namedtuple("GenericFunctional", "values")):
 
 
 def random_functional(rng, units: UnitGroup, rank: int) -> GenericFunctional:
-    return GenericFunctional(tuple(rng.randrange(units.order)
-                                   for _ in range(rank + 1)))
+    return GenericFunctional(tuple(map(rng.randrange, repeat(units.order, rank + 1))))
 
 
 class InconsistentSystemError(ValueError):
@@ -100,7 +100,8 @@ def build_system(rs: RootSystem, lat: CocharLattice, omega: OmegaElement,
     n = units.order
     targets = [(-lv[i] + lv[perm[i]] + units.sign_log(c)) % n
                for i, c in enumerate(signs)]
-    weighted = sum(m * t for (m, _), t in zip(affine_nodes(rs), targets)) % n
+    # the zeroth node has mark 1
+    weighted = (targets[0] + sum(map(mul, marks(rs), targets[1:]))) % n
     if weighted != 0:
         raise InconsistentSystemError(
             f"weighted row product is {weighted} (mod {n}), not 0: "
@@ -112,13 +113,13 @@ def solve(system: FixerSystem):
     """A witness t (coordinates in the lattice basis, mod N), or None.
 
     Solves rows 1..rank as an integer-linear system mod N with the
-    lattice's held Smith form; the witness is then checked against every
-    row including the redundant zeroth, the lattice's ``pairing_row0``.
+    lattice's held solver for N; the witness is then checked against
+    every row including the redundant zeroth, the lattice's
+    ``pairing_row0``.
     """
     n = system.units.order
     lat = system.lattice
-    b = list(system.targets[1:])
-    x = intmat.solve_mod(lat.pairing, lat.pairing_snf, b, n)
+    x = intmat.solve_mod(lat.mod_solver(n), system.targets[1:])
     if x is None:
         return None
     if sum(map(mul, lat.pairing_row0, x)) % n != system.targets[0]:

@@ -2,9 +2,12 @@
 
 Everything here operates on lists of lists; matrices are tiny (rank of a
 root system), so clarity beats asymptotics.  Callers that solve many
-systems with one matrix factor it once: ``solve_mod`` takes a Smith form
-from ``smith_normal_form`` (a cocharacter lattice holds the one of its
-pairing matrix), and still checks every solution it returns against the
+systems with one matrix and modulus prepare them once: ``prepare_mod``
+takes a Smith form from ``smith_normal_form`` and a modulus n, and folds
+every row whose invariant factor is a unit mod n into one matrix (a
+cocharacter lattice holds the Smith form of its pairing matrix and one
+prepared solver per n).  ``solve_mod`` takes the prepared solver and a
+right side, and still checks every solution it returns against the
 original matrix.  ``hermite_row_basis`` gives the canonical basis that
 cocharacter lattices are stored in.  The rational helpers ``mat_mul``,
 ``mat_det`` and ``mat_inv`` are not exported: nothing in the package
@@ -19,6 +22,7 @@ from operator import mul
 
 __all__ = [
     "smith_normal_form",
+    "prepare_mod",
     "solve_mod",
     "hermite_row_basis",
 ]
@@ -110,40 +114,66 @@ def smith_normal_form(m):
     return d, u, v
 
 
-def solve_mod(m, snf, b, n: int):
-    """A solution x of m x = b (mod n), or None.
+def prepare_mod(m, snf, n: int):
+    """The part of solving m x = b (mod n) that does not depend on b.
 
-    ``snf`` is ``smith_normal_form(m)``, (d, u, v) with u m v = d: solve
-    d y = u b coordinatewise, then x = v y, and check m x = b (mod n).
-    Raises ``ValueError`` unless b has one entry per row of m and n >= 1.
+    ``snf`` is ``smith_normal_form(m)``, (d, u, v) with u m v = d, so the
+    system is d y = u b with x = v y.  Every row whose d_i is a unit mod
+    n folds into one matrix F = v diag(d_i^-1) u mod n.  Each other row,
+    g = gcd(d_i, n) > 1 (d_i = 0 gives g = n), keeps its u-row, g, the
+    inverse of d_i/g mod n/g and its v-column.  ``solve_mod`` takes the
+    result, the tuple (m, n, F, kept rows).  Raises ``ValueError``
+    unless n >= 1.
     """
-    rows = len(m)
-    if len(b) != rows:
-        raise ValueError(f"right-hand side has {len(b)} entries for {rows} rows")
     if n < 1:
         raise ValueError(f"modulus {n} is not positive")
-    cols = len(m[0]) if rows else 0
     d, u, v = snf
-    ub = [sum(map(mul, row, b)) % n for row in u]
-    y = [0] * cols
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    fold = [[0] * rows for _ in range(cols)]
+    kept = []
     for i in range(rows):
         di = d[i][i] if i < cols else 0
-        if di == 0:
-            if ub[i] % n != 0:
-                return None
-            continue
         g = gcd(di, n)
-        if ub[i] % g != 0:
-            return None
         # di * y = ub (mod n): divide through by g, invert di/g mod n/g
         ni = n // g
         inv = pow((di // g) % ni, -1, ni) if ni > 1 else 0
-        y[i] = ((ub[i] // g) * inv) % n
-    x = [sum(map(mul, row, y)) % n for row in v]
+        vcol = [row[i] for row in v] if i < cols else [0] * cols
+        if g == 1:
+            for frow, vj in zip(fold, vcol):
+                f = vj * inv
+                frow[:] = [x + f * uk for x, uk in zip(frow, u[i])]
+        else:
+            kept.append((tuple(u[i]), g, inv, tuple(vcol)))
+    fold = tuple(tuple(x % n for x in frow) for frow in fold)
+    return m, n, fold, tuple(kept)
+
+
+def solve_mod(prepared, b):
+    """A solution x of m x = b (mod n), or None.
+
+    ``prepared`` is ``prepare_mod(m, snf, n)``: x = F b plus v_i y_i for
+    each kept row, with y_i = ((u_i b mod n) / g) (d_i/g)^-1, and None
+    when g does not divide u_i b mod n.  Every x is checked against
+    every row of m before it is returned.  Raises ``ValueError`` unless
+    b has one entry per row of m.
+    """
+    m, n, fold, kept = prepared
+    if len(b) != len(m):
+        raise ValueError(f"right-hand side has {len(b)} entries for {len(m)} rows")
+    x = [sum(map(mul, frow, b)) for frow in fold]
+    for urow, g, inv, vcol in kept:
+        ub = sum(map(mul, urow, b)) % n
+        if ub % g:
+            return None
+        y = (ub // g) * inv
+        if y:
+            x = [xj + vj * y for xj, vj in zip(x, vcol)]
+    x = tuple([xj % n for xj in x])
     for row, bi in zip(m, b):
         if sum(map(mul, row, x)) % n != bi % n:
             raise AssertionError("solve_mod produced a bad witness")
-    return tuple(x)
+    return x
 
 
 def hermite_row_basis(rows):

@@ -2,7 +2,8 @@ import importlib.util
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,45 @@ def _form(rs, a, b):
 def form():
     """``form(rs, a, b)``, the Fraction oracle for (root_a | root_b)."""
     return _form
+
+
+# -- the per-row modular solve, a test oracle ----------------------------
+
+
+def _per_row_solve_mod(m, snf, b, n):
+    """A solution x of m x = b (mod n), or None, the way ``intmat`` solved
+    before solves were prepared once per modulus: with the Smith form
+    (d, u, v), u m v = d, solve d y = u b one row at a time, recomputing
+    gcd(d_i, n) and the inverse of d_i/g mod n/g, then x = v y."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    d, u, v = snf
+    ub = [sum(map(mul, row, b)) % n for row in u]
+    y = [0] * cols
+    for i in range(rows):
+        di = d[i][i] if i < cols else 0
+        if di == 0:
+            if ub[i] % n != 0:
+                return None
+            continue
+        g = gcd(di, n)
+        if ub[i] % g != 0:
+            return None
+        ni = n // g
+        inv = pow((di // g) % ni, -1, ni) if ni > 1 else 0
+        y[i] = ((ub[i] // g) * inv) % n
+    x = [sum(map(mul, row, y)) % n for row in v]
+    for row, bi in zip(m, b):
+        if sum(map(mul, row, x)) % n != bi % n:
+            raise AssertionError("oracle produced a bad witness")
+    return tuple(x)
+
+
+@pytest.fixture(scope="session")
+def per_row_solve_mod():
+    """``per_row_solve_mod(m, snf, b, n)``, the oracle for the prepared
+    ``intmat.solve_mod``."""
+    return _per_row_solve_mod
 
 
 # -- the Fraction route to the cocharacter lattices, a test oracle --------

@@ -69,23 +69,44 @@ def test_module_does_not_import_fractions(module):
     assert [m for m in imported if m.split(".")[0] == "fractions"] == []
 
 
+# The top-level modules that ``from weylrep import cli`` adds to a bare
+# ``python -I -S`` interpreter (CPython 3.11).  A new one costs start-up
+# time in every sweep, so it fails here first.
+START_UP_MODULES = {
+    "__future__", "_bisect", "_collections", "_collections_abc", "_functools",
+    "_json", "_operator", "_random", "_sha512", "_sre", "_stat", "_struct",
+    "argparse", "bisect", "collections", "copyreg", "enum", "functools",
+    "genericpath", "gettext", "itertools", "json", "keyword", "math",
+    "operator", "os", "posixpath", "random", "re", "reprlib", "stat", "struct",
+    "types", "warnings", "weylrep",
+}
+
+
 def test_cli_start_up_loads_no_heavy_modules():
     """Start-up time: importing ``weylrep.cli`` and running the default
     sweep in a fresh interpreter loads neither ``dataclasses`` (which
     pulls in ``inspect``) nor ``typing`` nor ``fractions``.  The records
     are ``collections.namedtuple`` subclasses, and only the test oracles
-    in ``intmat`` reach for ``Fraction``."""
+    in ``intmat`` reach for ``Fraction``.  The import itself adds no
+    top-level module outside ``START_UP_MODULES``."""
     src = Path(weylrep.__file__).resolve().parents[1]
-    code = ("import os, sys\n"
+    code = ("import sys\n"
+            "before = {m.partition('.')[0] for m in sys.modules}\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "from weylrep import cli\n"
+            "added = {m.partition('.')[0] for m in sys.modules} - before\n"
+            "import os\n"
             "assert cli.main(['sweep', '--out', os.devnull]) == 0\n"
             "heavy = ('dataclasses', 'inspect', 'fractions', 'typing')\n"
-            "print(sorted(m for m in heavy if m in sys.modules))\n")
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "print(' '.join(sorted(added)))\n")
     proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(src)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    heavy, added = proc.stdout.splitlines()
+    assert heavy == "[]"
+    assert "weylrep" in added.split()
+    assert sorted(set(added.split()) - START_UP_MODULES) == []
 
 
 def test_bench_selftest_passes():

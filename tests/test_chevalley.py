@@ -266,6 +266,60 @@ def test_constants_and_scalar_tables_make_no_fractions(get_rs, monkeypatch):
     assert len(made) == 0
 
 
+# every type up to rank 8, as in test_fixer's HELD_SNF_TYPES
+ALL_TYPES_TO_RANK_8 = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                       + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+                       + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def _signed_perm_by_all_exponentials(table):
+    """The oracle for ``scalar_table``: all three exponentials applied to
+    every root vector, the fixed ones included, with the same checks."""
+    rs = table.rs
+    perms = []
+    for i in range(rs.rank):
+        e = rs.simple_index[i]
+        ad_e = chevalley._ad_matrix(table, e)
+        ad_f = chevalley._ad_matrix(table, rs.neg[e])
+        sp = []
+        for b in range(rs.nroots):
+            col = chevalley._exp_apply(ad_e, 1, chevalley._exp_apply(
+                ad_f, -1, chevalley._exp_apply(ad_e, 1, {b: 1})))
+            assert len(col) == 1, f"Ad(n_{i + 1}) image is not a basis vector"
+            (tgt, val), = col.items()
+            assert tgt == rs.simple_perms[i][b] and val in (1, -1), \
+                f"Ad(n_{i + 1}) sends e_{rs.root_name(b)} off +-e_s(b)"
+            sp.append((tgt, val))
+        perms.append(tuple(sp))
+    return tuple(perms)
+
+
+@pytest.mark.parametrize("label,rank", ALL_TYPES_TO_RANK_8)
+def test_scalar_table_skip_matches_all_exponentials(label, rank, get_scalars):
+    """Taking the root vectors that ad(e_i) and ad(f_i) both kill as fixed
+    gives the signed permutations that exponentiating every one gives."""
+    table, scalars = get_scalars(label, rank)
+    assert scalars.signed_perm == _signed_perm_by_all_exponentials(table)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("G", 2), ("F", 4)])
+def test_sign_faults_next_to_a_simple_root_fail_the_scalar_table(label, rank,
+                                                                 get_rs, get_scalars):
+    """One flipped sign in N(alpha_i, b), for each simple i and each b with
+    alpha_i + b a root, fails ``scalar_table`` and the oracle alike."""
+    rs = get_rs(label, rank)
+    table, _ = get_scalars(label, rank)
+    pairs = [(e, b) for e in rs.simple_index for b in range(rs.nroots)
+             if (e, b) in table.n]
+    assert pairs
+    for pair in pairs:
+        bad = _with_entry(table, pair, -table.n[pair])
+        with pytest.raises(AssertionError, match="Ad\\(n_"):
+            scalar_table(bad)
+        with pytest.raises(AssertionError):
+            _signed_perm_by_all_exponentials(bad)
+
+
 @pytest.mark.parametrize("label,rank", EXHAUSTIVE_TYPES)
 def test_scalar_table_invariants(label, rank, get_rs, get_scalars):
     """c(s,a) c(s,-a) = 1 everywhere; both-simple pairs give 1."""

@@ -676,6 +676,41 @@ def test_carried_coroot_sum_is_load_bearing(monkeypatch, system):
     assert not weyl.check_first_difference(w, k)
 
 
+@pytest.mark.parametrize("system", ["A3", "D5"])
+def test_planted_wrong_height_fails_the_exhaustive_sweep(monkeypatch, system):
+    """One wrong entry of ``rs.heights``, the right side's only root data,
+    fails the exhaustive sweep at the first element in ``iter_group``
+    order that moves the root to or from it.  The (word, root) witness
+    replays on a fresh element built from the word: it fails with the
+    fault and holds without it."""
+    label, rank = system[0], int(system[1:])
+
+    def faulted(label, rank):
+        rs = root_system(label, rank)
+        heights = list(rs.heights)
+        heights[rs.highest_root] += 1
+        rs.heights = tuple(heights)
+        return rs
+
+    monkeypatch.setattr(cli, "root_system", faulted)
+    (entry,) = run_sweep(_one_check_config([system], first_difference=True))["checks"]
+    assert entry["mode"] == "exhaustive" and not entry["passed"]
+    rs = faulted(label, rank)
+    hi = rs.highest_root
+    position, k = divmod(entry["count"] - 1, rs.nroots)
+    for n, w in enumerate(weyl.iter_group(rs)):
+        if n == position:
+            break
+        assert w.perm[hi] == hi
+    assert w.perm[hi] != hi and hi in (k, w.perm[k])
+    word, root = entry["counterexample"]["word"], entry["counterexample"]["root"]
+    assert (word, root) == (list(w.word), list(rs.roots[k]))
+    assert not weyl.check_first_difference(weyl.from_word(rs, word), k)
+    clean = root_system(label, rank)
+    assert weyl.check_first_difference(weyl.from_word(clean, word),
+                                       clean.index[tuple(root)])
+
+
 def test_first_difference_memo_keeps_no_root_system_alive(monkeypatch):
     built = []
 

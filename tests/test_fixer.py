@@ -1,10 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from weylrep import affine, intmat
+from weylrep import affine, cli, intmat
 from weylrep.affine import (
     adjoint_lattice,
     all_lattices,
@@ -27,6 +28,7 @@ from weylrep.fixer import (
     random_functional,
     solve,
 )
+from weylrep.rootsys import root_system
 
 QS = (5, 7, 13)
 
@@ -414,10 +416,58 @@ def test_held_smith_form_solves_like_a_fresh_one(label, rank, get_rs):
         assert lat.pairing_snf == fresh
         assert lat.pairing_snf is lat.pairing_snf
         for n in (4, 6, 8, 12, 16):
+            assert lat.mod_solver(n) is lat.mod_solver(n)
             for _ in range(4):
                 b = [rng.randrange(n) for _ in range(rank)]
-                assert intmat.solve_mod(lat.pairing, lat.pairing_snf, b, n) == \
-                    intmat.solve_mod(m, fresh, b, n)
+                assert intmat.solve_mod(lat.mod_solver(n), b) == \
+                    intmat.solve_mod(intmat.prepare_mod(m, fresh, n), b)
+
+
+@pytest.mark.parametrize("label, rank", HELD_SNF_TYPES)
+def test_prepared_solve_returns_the_per_row_solution(label, rank, get_rs,
+                                                     per_row_solve_mod):
+    """The held solver of each lattice and modulus gives exactly the
+    tuple, or None, of solving the Smith system row by row."""
+    rs = get_rs(label, rank)
+    rng = random.Random(f"prepared/{label}{rank}")
+    moduli = (1, 2, 3, 4, 6, 8, 9, 12, 16)
+    outcomes = set()
+    for lat in all_lattices(rs):
+        for n in moduli:
+            for _ in range(6):
+                b = [rng.randrange(n) for _ in range(rank)]
+                x = intmat.solve_mod(lat.mod_solver(n), b)
+                assert x == per_row_solve_mod(lat.pairing, lat.pairing_snf, b, n)
+                outcomes.add(x is None)
+    # the simply-connected pairing is the Cartan matrix, so some b is
+    # unsolvable once det C shares a factor with a modulus
+    shares = any(gcd(rs.cartan_det, n) > 1 for n in moduli)
+    assert outcomes == ({False, True} if shares else {False})
+
+
+def test_fixer_sweep_prepares_one_solver_per_lattice_and_q(monkeypatch):
+    """An A5 sweep prepares each (lattice, q) solver once and solves once
+    per sampled functional."""
+    calls = {"prepare_mod": [], "solve_mod": []}
+    for name, seen in calls.items():
+        real = getattr(intmat, name)
+
+        def counting(*args, real=real, seen=seen):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(intmat, name, counting)
+    cfg = cli.load_config(None)
+    cfg.update(systems=[{"type": "A", "rank": 5}], qs=[5, 7, 13],
+               checks={"fixer": True})
+    report = cli.run_sweep(cfg)
+    assert report["status"] == "pass"
+    (entry,) = report["checks"]
+    lats = affine.all_lattices(root_system("A", 5))
+    assert len(lats) == 4
+    assert sorted((m, n) for m, _, n in calls["prepare_mod"]) == \
+        sorted((lat.pairing, q - 1) for lat in lats for q in (5, 7, 13))
+    assert len(calls["solve_mod"]) == entry["count"] == 720
 
 
 def test_corrupted_held_smith_form_trips_the_witness_check(get_rs, get_scalars,

@@ -9,6 +9,7 @@ from weylrep.intmat import (
     mat_det,
     mat_inv,
     mat_mul,
+    prepare_mod,
     smith_normal_form,
     solve_mod,
 )
@@ -40,12 +41,14 @@ def test_snf_diagonalizes_with_unimodular_transforms(m):
 @given(small_matrix, st.sampled_from([2, 3, 4, 5, 6, 12]),
        st.integers(min_value=0, max_value=10 ** 6), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_solve_mod_agrees_with_brute_force(m, n, seed, tuple_rows):
+def test_solve_mod_agrees_with_brute_force(per_row_solve_mod, m, n, seed, tuple_rows):
     rows, cols = len(m), len(m[0])
     b = [(seed // (n ** i)) % n for i in range(rows)]
     if tuple_rows:  # the shape cocharacter lattices hold their pairing in
         m = tuple(map(tuple, m))
-    x = solve_mod(m, smith_normal_form(m), b, n)
+    snf = smith_normal_form(m)
+    x = solve_mod(prepare_mod(m, snf, n), b)
+    assert x == per_row_solve_mod(m, snf, b, n)
     if cols <= 3 and n <= 6:
         brute = None
         for cand in itertools.product(range(n), repeat=cols):
@@ -65,18 +68,47 @@ SHAPE_M = [[1, 0], [0, 1]]
 def test_solve_mod_rejects_a_long_right_hand_side():
     """An extra entry of b has no row to check it against."""
     with pytest.raises(ValueError, match="3 entries for 2 rows"):
-        solve_mod(SHAPE_M, smith_normal_form(SHAPE_M), [1, 1, 5], 7)
+        solve_mod(prepare_mod(SHAPE_M, smith_normal_form(SHAPE_M), 7), [1, 1, 5])
 
 
 def test_solve_mod_rejects_a_short_right_hand_side():
     with pytest.raises(ValueError, match="1 entries for 2 rows"):
-        solve_mod(SHAPE_M, smith_normal_form(SHAPE_M), [1], 7)
+        solve_mod(prepare_mod(SHAPE_M, smith_normal_form(SHAPE_M), 7), [1])
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_solve_mod_rejects_a_modulus_below_one(n):
     with pytest.raises(ValueError, match="not positive"):
-        solve_mod(SHAPE_M, smith_normal_form(SHAPE_M), [1, 1], n)
+        prepare_mod(SHAPE_M, smith_normal_form(SHAPE_M), n)
+
+
+def test_prepare_mod_folds_the_unit_rows_and_keeps_the_others():
+    """d = diag(1, 2, 0): mod 12 the first row folds, and the rows with
+    g = 2 and g = 12 (d_i = 0) are kept with their inverses."""
+    m = [[1, 0, 0], [0, 2, 0], [0, 0, 0]]
+    prepared = prepare_mod(m, smith_normal_form(m), 12)
+    _, n, fold, kept = prepared
+    assert n == 12
+    assert fold == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert kept == (((0, 1, 0), 2, 1, (0, 1, 0)), ((0, 0, 1), 12, 0, (0, 0, 1)))
+    assert solve_mod(prepared, [5, 6, 0]) == (5, 3, 0)
+    assert solve_mod(prepared, [5, 5, 0]) is None  # 2 y = 5 (mod 12)
+    assert solve_mod(prepared, [5, 6, 1]) is None  # 0 = 1 (mod 12)
+
+
+def test_planted_fault_in_a_folded_entry_trips_the_witness_check():
+    """m is unimodular, so every solve is unique mod n and any wrong x
+    fails some row: one folded entry off by one moves x[0] by b[0]."""
+    m = [[2, 1], [1, 1]]
+    prepared = prepare_mod(m, smith_normal_form(m), 7)
+    b = [3, 5]
+    assert solve_mod(prepared, b) is not None
+    _, n, fold, kept = prepared
+    assert kept == ()  # d = diag(1, 1): both rows fold
+    bad = [list(row) for row in fold]
+    bad[0][0] += 1
+    with pytest.raises(AssertionError, match="bad witness"):
+        solve_mod((m, n, tuple(map(tuple, bad)), kept), b)
 
 
 def test_hermite_row_basis_canonicalizes():
