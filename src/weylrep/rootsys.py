@@ -186,8 +186,8 @@ class RootSystem:
     occupy the first half and positive roots the second half.  ``code``
     holds each root's integer code and ``code_index`` maps codes back to
     indices.  Most tables are built with the system; ``index``,
-    ``coset_chain``, ``packed_pairing`` and the full ``pairing`` table
-    are built on first use.
+    ``coset_chain``, ``packed_pairing``, ``packed_heights`` and the full
+    ``pairing`` table are built on first use.
     """
 
     def __init__(self, datum: CartanDatum):
@@ -352,6 +352,28 @@ class RootSystem:
                         for i in range(self.rank))
         limits = tuple(headroom * r for r in self.rho_check_twice)
         return fmt, self.nroots * width // 8, limits, bias, columns
+
+    @cached_property
+    def packed_heights(self) -> tuple[tuple[bytes, ...], int, tuple[bool, ...]]:
+        """``(fields, target, passing)`` for one-comparison first differences.
+
+        ``fields[k]`` is ht(root_k) + max ht as one little-endian
+        ``packed_pairing`` field, so joining ``fields`` in the order of
+        ``w.perm`` gives R = sum_a (ht(w root_a) + max ht) B^a, B = 2^width,
+        and ``target`` is that sum over the identity.  Field a of
+        target - R is the height drop ht(a) - ht(w a), at most 2 max ht =
+        max_a <a, 2 rho^vee> <= bound < B / 8 in size, where ``bound`` is the
+        one ``packed_pairing`` sizes its field by; the build asserts it.
+        ``passing`` is the verdict tuple of an element that holds at every
+        root.  Built on first use.
+        """
+        nbytes = self.packed_pairing[1] // self.nroots
+        off = max(self.heights)
+        if 4 * 2 * off >= 2 ** (8 * nbytes - 1):
+            raise AssertionError(f"height drops up to {2 * off} are past the "
+                                 f"digit bound of {8 * nbytes}-bit fields")
+        fields = tuple((h + off).to_bytes(nbytes, "little") for h in self.heights)
+        return fields, int.from_bytes(b"".join(fields), "little"), (True,) * self.nroots
 
     # -- basic queries ------------------------------------------------
 

@@ -20,8 +20,11 @@ alpha_i^vee, one Cartan row read and one coordinate changed.  Any other
 element builds S from ``inversion_set``.  The pairing is linear in S(w),
 so one packed integer product pairs S(w) with every root at once
 (``RootSystem.packed_pairing``), and each element decides all its roots
-on its first check: the verdict list compares that vector with the
-height drops read off ``perm`` and is kept on the element.
+on its first check with one integer comparison: that product plus the
+height fields joined in the order of ``perm`` (``RootSystem.packed_heights``)
+equals the fields joined in root order exactly when every root holds,
+since no field of either side reaches half the field's range.  Only an
+element that fails builds its per-root verdict list.
 ``iter_group`` yields W breadth-first by length, one length level at a
 time, and composes only the moves that go up in length; an exhaustive
 sweep reads it element by element, and ``enumerate_group`` is its list.
@@ -69,7 +72,9 @@ class WeylElement:
     ``perm[k]`` is the index of ``w(root_k)``.  Words use 1-based simple
     indices following the Bourbaki numbering.  An element that
     ``iter_group`` yields carries S(w) in ``_coroot_sum``; every element
-    keeps its first-difference verdicts in ``_verdicts`` once checked.
+    keeps its first-difference verdicts in ``_verdicts`` once checked:
+    the system's shared all-True tuple when the packed comparison holds,
+    its own per-root list otherwise.
     """
 
     __slots__ = ("rs", "perm", "_word", "_walk", "_length", "_hash",
@@ -253,16 +258,25 @@ def flip_functional(u: WeylElement, v: WeylElement, a: int) -> int:
     return sum(map(mul, rs._psc[a], rs.coroot_sum(flip_set(u, v))))
 
 
-def _pairing_vector(w: WeylElement) -> list[int]:
-    """L[a] = <root_a, S(w)> for every root a, with S(w) = ``w.coroot_sum``,
-    from one packed product (``RootSystem.packed_pairing``).  A coordinate
-    of S(w) past the range where every field is exact raises
-    ``AssertionError``, so no field aliases into its neighbour."""
+def _packed_pairings(w: WeylElement) -> int:
+    """sum_a <root_a, S(w)> B^a, B = 2^width, with S(w) = ``w.coroot_sum``:
+    sum_i S_i * columns[i] of ``RootSystem.packed_pairing``, a balanced
+    base-B number.  A coordinate of S(w) past the range where every field
+    is exact raises ``AssertionError``, so no field aliases into its
+    neighbour."""
     s = w.coroot_sum
-    fmt, nbytes, limits, bias, columns = w.rs.packed_pairing
+    _, _, limits, _, columns = w.rs.packed_pairing
     if not all(map(le, map(abs, s), limits)):
         raise AssertionError(f"coroot sum {s} is past the packed range")
-    packed = sum(map(mul, s, columns), bias) ^ bias
+    return sum(map(mul, s, columns))
+
+
+def _pairing_vector(w: WeylElement) -> list[int]:
+    """L[a] = <root_a, S(w)> for every root a: ``_packed_pairings`` plus the
+    bias (the top bit of every field, so no field borrows from the next),
+    XORed with it, read as two's complement fields."""
+    fmt, nbytes, _, bias, _ = w.rs.packed_pairing
+    packed = (_packed_pairings(w) + bias) ^ bias
     return memoryview(packed.to_bytes(nbytes, byteorder)).cast(fmt).tolist()
 
 
@@ -274,14 +288,27 @@ def check_first_difference(w: WeylElement, a: int) -> bool:
     search for an ``iter_group`` element, built from inv(w) otherwise.
     The right side reads only heights and ``w.perm``, so the two sides
     come from independent routes.  The first call on an element decides
-    every root at once, comparing ``_pairing_vector`` with all the height
-    drops, and keeps the verdicts on the element; later calls index them.
+    every root at once with one integer comparison: P + R == T, where
+    P = ``_packed_pairings(w)``, R joins the height fields of
+    ``RootSystem.packed_heights`` in the order of ``w.perm`` and T joins
+    them in root order.  Every field of P and of T - R is under B/2 in
+    size (the range check and the build's digit bound), so the sum is T
+    exactly when every root's two sides agree.  A passing element keeps
+    the system's shared all-True verdicts; any other compares
+    ``_pairing_vector`` with the height drops root by root.  Later calls
+    index the verdicts kept on the element.
     """
     verdicts = w._verdicts
     if verdicts is None:
-        heights = w.rs.heights
-        drops = map(sub, heights, itemgetter(*w.perm)(heights))
-        verdicts = w._verdicts = list(map(eq, _pairing_vector(w), drops))
+        fields, target, passing = w.rs.packed_heights
+        right = int.from_bytes(b"".join(itemgetter(*w.perm)(fields)), "little")
+        if _packed_pairings(w) + right == target:
+            verdicts = passing
+        else:
+            heights = w.rs.heights
+            drops = map(sub, heights, itemgetter(*w.perm)(heights))
+            verdicts = list(map(eq, _pairing_vector(w), drops))
+        w._verdicts = verdicts
     return verdicts[a]
 
 

@@ -648,6 +648,31 @@ def test_coroot_sum_route_is_load_bearing(monkeypatch, system):
     assert replay() == (True, None)
 
 
+def _per_root_first_difference(w, a):
+    """The route before the packed comparison: the pairing vector against
+    one height drop."""
+    heights = w.rs.heights
+    return weyl._pairing_vector(w)[a] == heights[a] - heights[w.perm[a]]
+
+
+def _wrong_height(rs):
+    heights = list(rs.heights)
+    heights[rs.highest_root] += 1
+    rs.heights = tuple(heights)
+
+
+def _wrong_cartan_entry(rs):
+    m = [list(row) for row in rs.datum.cartan_matrix]
+    m[1][0] -= 1  # <alpha_1, alpha_2^vee>, read by every move s_1 of the search
+    rs.datum = rs.datum._replace(cartan_matrix=tuple(map(tuple, m)))
+
+
+def _wrong_psc_entry(rs):
+    psc = [list(row) for row in rs._psc]
+    psc[rs.highest_root][0] += 1  # <highest root, alpha_1^vee>
+    rs._psc = tuple(map(tuple, psc))
+
+
 @pytest.mark.parametrize("system", ["A3", "D5"])
 def test_carried_coroot_sum_is_load_bearing(monkeypatch, system):
     """One wrong entry of the Cartan row that ``iter_group`` reads to carry
@@ -656,9 +681,7 @@ def test_carried_coroot_sum_is_load_bearing(monkeypatch, system):
     carried S differs from the inversion-set S."""
     def faulted(label, rank):
         rs = root_system(label, rank)
-        m = [list(row) for row in rs.datum.cartan_matrix]
-        m[1][0] -= 1  # <alpha_1, alpha_2^vee>, read by every move s_1
-        rs.datum = rs.datum._replace(cartan_matrix=tuple(map(tuple, m)))
+        _wrong_cartan_entry(rs)
         return rs
 
     monkeypatch.setattr(cli, "root_system", faulted)
@@ -687,9 +710,7 @@ def test_planted_wrong_height_fails_the_exhaustive_sweep(monkeypatch, system):
 
     def faulted(label, rank):
         rs = root_system(label, rank)
-        heights = list(rs.heights)
-        heights[rs.highest_root] += 1
-        rs.heights = tuple(heights)
+        _wrong_height(rs)
         return rs
 
     monkeypatch.setattr(cli, "root_system", faulted)
@@ -709,6 +730,38 @@ def test_planted_wrong_height_fails_the_exhaustive_sweep(monkeypatch, system):
     clean = root_system(label, rank)
     assert weyl.check_first_difference(weyl.from_word(clean, word),
                                        clean.index[tuple(root)])
+
+
+@pytest.mark.parametrize("fault", [_wrong_height, _wrong_cartan_entry,
+                                   _wrong_psc_entry])
+@pytest.mark.parametrize("system", ["A3", "D5"])
+def test_packed_first_difference_fails_as_the_per_root_route(monkeypatch, system,
+                                                             fault):
+    """A wrong height, a wrong Cartan entry in the carried-S update and a
+    wrong pairing with a simple coroot each fail the exhaustive sweep with
+    the count and witness of the per-root route, and the packed route
+    decides the failing element with exactly one ``_pairing_vector``."""
+    def faulted(label, rank):
+        rs = root_system(label, rank)
+        fault(rs)
+        return rs
+
+    monkeypatch.setattr(cli, "root_system", faulted)
+    cfg = _one_check_config([system], first_difference=True)
+    vectors = _count_calls(monkeypatch, weyl, "_pairing_vector")
+    (packed,) = run_sweep(cfg)["checks"]
+    assert packed["mode"] == "exhaustive" and not packed["passed"]
+    assert len(vectors) == 1
+    monkeypatch.setattr(weyl, "check_first_difference", _per_root_first_difference)
+    (per_root,) = run_sweep(cfg)["checks"]
+    assert packed == per_root
+
+
+def test_passing_sweep_builds_no_pairing_vector(monkeypatch):
+    vectors = _count_calls(monkeypatch, weyl, "_pairing_vector")
+    (entry,) = run_sweep(_one_check_config(["D5"], first_difference=True))["checks"]
+    assert entry["passed"] and entry["count"] == 1920 * 40
+    assert vectors == []
 
 
 def test_first_difference_memo_keeps_no_root_system_alive(monkeypatch):

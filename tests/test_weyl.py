@@ -551,6 +551,18 @@ def test_pairing_vector_matches_the_dot_product_on_draws(label, rank):
         assert weyl._pairing_vector(w) == _dot_product_pairings(rs, w.coroot_sum)
 
 
+def _first_difference_oracle(w):
+    """Per-root verdicts: <a, S(w)> as one dot product per root against
+    ht(a) - ht(w(a)) read one root at a time."""
+    rs, p = w.rs, w.perm
+    return [x == rs.heights[a] - rs.heights[p[a]]
+            for a, x in enumerate(_dot_product_pairings(rs, w.coroot_sum))]
+
+
+def _verdicts(w):
+    return [check_first_difference(w, a) for a in range(w.rs.nroots)]
+
+
 def test_packed_field_width_comes_from_the_system(get_rs):
     """The field holds four times the largest pairing of an inversion-set
     sum: 8 bits for A3, 16 for A20, whose 2 rho^vee reaches 110."""
@@ -573,23 +585,120 @@ def test_packed_field_width_comes_from_the_system(get_rs):
 def test_packed_pairing_is_exact_to_its_limits_and_raises_past_them(
         label, rank, monkeypatch):
     """At the limits, with the signs that make each field as large as it
-    gets, every field is exact; one past a limit raises instead of
-    aliasing into the next field."""
+    gets, every field is exact, and the packed first difference against
+    the identity's and w_0's height drops gives the per-root oracle's
+    verdicts; one past a limit raises instead of aliasing into the next
+    field, and keeps no verdict."""
     rs = root_system(label, rank)
     limits = rs.packed_pairing[2]
     held = []
     monkeypatch.setattr(weyl.WeylElement, "coroot_sum", property(lambda w: held[0]))
     w = identity(rs)
+    w0 = longest_element(rs).perm
     for row in rs._psc:
         for sign in (1, -1):
             held[:] = [tuple(sign * (1 if c >= 0 else -1) * lim
                              for c, lim in zip(row, limits))]
             assert weyl._pairing_vector(w) == _dot_product_pairings(rs, held[0])
+            for perm in (rs.identity_perm, w0):
+                fresh = weyl.WeylElement(rs, perm)
+                assert _verdicts(fresh) == _first_difference_oracle(fresh)
     for i in range(rank):
         for past in (limits[i] + 1, -limits[i] - 1):
             held[:] = [tuple(past if j == i else 0 for j in range(rank))]
             with pytest.raises(AssertionError, match="past the packed range"):
                 weyl._pairing_vector(w)
+            with pytest.raises(AssertionError, match="past the packed range"):
+                check_first_difference(w, 0)
+            assert w._verdicts is None
+
+
+@pytest.mark.parametrize("label,rank", [("A", 4), ("B", 4), ("C", 3), ("D", 5),
+                                        ("F", 4), ("G", 2)])
+def test_packed_first_difference_matches_the_oracle_on_every_element(
+        label, rank, get_rs):
+    """Every element passes through the one-comparison path: it keeps the
+    system's shared all-True verdicts, which the per-root oracle confirms."""
+    rs = get_rs(label, rank)
+    passing = rs.packed_heights[2]
+    for w in weyl.iter_group(rs):
+        assert _verdicts(w) == _first_difference_oracle(w) == [True] * rs.nroots
+        assert w._verdicts is passing
+
+
+@pytest.mark.parametrize("label,rank", [("E", 8), ("A", 20)])
+def test_packed_first_difference_matches_the_oracle_on_draws(label, rank):
+    """Sampled elements, with S(w) from the inversion set, on E8 and on A20
+    (420 roots in 16-bit fields)."""
+    rs = root_system(label, rank)
+    rng = random.Random(f"packed-first-difference/{label}{rank}")
+    for _ in range(500):
+        w = weyl.random_element(rs, rng)
+        assert _verdicts(w) == _first_difference_oracle(w)
+        assert w._verdicts is rs.packed_heights[2]
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_packed_first_difference_finds_every_swapped_root_pair(label, rank, get_rs):
+    """Swapping the images of two roots of different image heights gives a
+    permutation outside W that fails at exactly those two roots; the
+    verdicts equal the per-root oracle, so no wrong field hides in the
+    single comparison."""
+    rs = get_rs(label, rank)
+    for w in enumerate_group(rs):
+        s = w.coroot_sum
+        for a in range(rs.nroots):
+            for b in range(a):
+                if rs.heights[w.perm[a]] == rs.heights[w.perm[b]]:
+                    continue
+                perm = list(w.perm)
+                perm[a], perm[b] = perm[b], perm[a]
+                bad = weyl.WeylElement(rs, tuple(perm))
+                bad._coroot_sum = s
+                got = _verdicts(bad)
+                assert got == _first_difference_oracle(bad)
+                assert [k for k, ok in enumerate(got) if not ok] == [b, a]
+
+
+# every type up to rank 8, and A20 for 16-bit fields
+TYPES_TO_RANK_8 = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                   + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+                   + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("label,rank", TYPES_TO_RANK_8 + [("A", 20)])
+def test_height_drops_fit_the_packed_digit_bound(label, rank):
+    """A height drop is at most 2 max ht = max_a <a, 2 rho^vee>, within the
+    bound that sizes the pairing field, and so under a quarter of half a
+    field: every digit of T - R is well inside (-B/2, B/2)."""
+    rs = root_system(label, rank)
+    fields, target, passing = rs.packed_heights
+    width = 8 * len(fields[0])
+    assert rs.packed_pairing[1] * 8 == width * rs.nroots
+    bound = max(sum(abs(c) * r for c, r in zip(row, rs.rho_check_twice))
+                for row in rs._psc)
+    drop = 2 * max(rs.heights)
+    assert drop == max(sum(map(mul, row, rs.rho_check_twice)) for row in rs._psc)
+    assert drop <= bound and 4 * bound < 2 ** (width - 1)
+    assert drop < 2 ** (width - 1)
+    assert [int.from_bytes(f, "little") for f in fields] == \
+        [h + drop // 2 for h in rs.heights]
+    assert target == int.from_bytes(b"".join(fields), "little")
+    assert passing == (True,) * rs.nroots
+
+
+@pytest.mark.parametrize("label,rank", [("E", 7), ("E", 8), ("A", 20)])
+def test_narrow_height_field_raises_at_build(label, rank, monkeypatch):
+    """An 8-bit field is too narrow for these height drops (E7's reach 34,
+    and 4 * 34 >= 2^7): building the height fields raises, so no check
+    reads a digit that could carry."""
+    rs = root_system(label, rank)
+    monkeypatch.setattr(RootSystem, "packed_pairing",
+                        property(lambda rs: ("b", rs.nroots, (), 0, ())))
+    with pytest.raises(AssertionError, match="digit bound of 8-bit fields"):
+        rs.packed_heights
+    with pytest.raises(AssertionError, match="digit bound"):
+        check_first_difference(identity(rs), 0)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2)])
