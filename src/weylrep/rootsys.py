@@ -10,11 +10,19 @@ coordinates, so a sum or difference of roots is one int addition and one
 dict lookup (``RootSystem.sum_index``, ``root_string``).  The code is
 exact while every coordinate lies in (-64, 64); a build checks that the
 farthest probe, b + 4a in a root string, stays inside that window.
+
+A permutation of the roots is ``bytes`` when there are at most 256 roots,
+one root index per byte, and a tuple of ints otherwise (A_n for n >= 16,
+B_n, C_n and D_n for n >= 12).  Only this module reads that layout:
+``compose``, ``composer``, ``invert``, ``lookup`` and
+``RootSystem.packed_heights_of`` take either type, each with one type
+test, and on ``bytes`` run in C as one ``translate`` or ``maketrans``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from functools import cached_property
 from operator import itemgetter, mul
 from struct import calcsize
@@ -27,7 +35,58 @@ __all__ = [
     "root_system",
     "root_string",
     "rootsys_to_json",
+    "compose",
+    "composer",
+    "invert",
+    "lookup",
 ]
+
+_BYTE_RANGE = bytes(range(256))
+
+
+def compose(u, v):
+    """The permutation u after v, (u v)[k] = u[v[k]], in the type of v.
+
+    On ``bytes`` it is ``v.translate`` through u padded to a 256-entry
+    table; the padding is never read, since every byte of v is a root
+    index.
+    """
+    if type(v) is bytes:
+        return v.translate(u.ljust(256, b"\0"))
+    return itemgetter(*v)(u)
+
+
+def composer(v):
+    """The map p -> ``compose(p, v)``, for a right factor v used many times:
+    ``v.translate`` bound once, or an ``itemgetter`` on tuples."""
+    if type(v) is bytes:
+        translate = v.translate
+        return lambda p: translate(p.ljust(256, b"\0"))
+    return itemgetter(*v)
+
+
+def invert(p):
+    """The inverse permutation, in the type of p; on ``bytes`` one
+    ``bytes.maketrans`` from p to the identity, cut to the length of p."""
+    n = len(p)
+    if type(p) is bytes:
+        return bytes.maketrans(p, _BYTE_RANGE[:n])[:n]
+    inv = [0] * n
+    for k, x in enumerate(p):
+        inv[x] = k
+    return tuple(inv)
+
+
+def lookup(p, table: bytes) -> bytes:
+    """The bytes ``table[x]`` for each entry x of p, in order.
+
+    p is a permutation or a slice of one, and ``table`` holds one byte per
+    root index; on ``bytes`` it is one ``translate`` through ``table``
+    padded to 256 entries, which no root index reads past.
+    """
+    if type(p) is bytes:
+        return p.translate(table.ljust(256, b"\0"))
+    return bytes(map(table.__getitem__, p))
 
 
 class CartanError(ValueError):
@@ -186,7 +245,8 @@ class RootSystem:
     occupy the first half and positive roots the second half.  ``code``
     holds each root's integer code and ``code_index`` maps codes back to
     indices.  Most tables are built with the system; ``index``,
-    ``coset_chain``, ``packed_pairing``, ``packed_heights`` and the full
+    ``coset_chain``, ``packed_pairing``, ``packed_heights``, the sign
+    table ``positive_table`` and the full
     ``pairing`` table are built on first use.
     """
 
@@ -214,7 +274,9 @@ class RootSystem:
         self.code = code = _root_codes(allroots)
         self.code_index = cindex = {c: k for k, c in enumerate(code)}
 
-        self.identity_perm = tuple(range(self.nroots))
+        # root permutations: one byte per root index when they fit a byte
+        as_perm = bytes if self.nroots <= 256 else tuple
+        self.identity_perm = as_perm(range(self.nroots))
         self.heights = tuple(sum(r) for r in self.roots)
         self.neg = tuple(cindex[-c] for c in code)
 
@@ -257,10 +319,11 @@ class RootSystem:
         # permutation of root indices induced by each simple reflection:
         # s_i(r) = r - <r, alpha_i^vee> alpha_i
         self.simple_perms = tuple(
-            tuple(cindex[c - p[i] * s] for c, p in zip(code, psc))
+            as_perm(cindex[c - p[i] * s] for c, p in zip(code, psc))
             for i, s in enumerate(steps))
-        # simple_getters[i](perm) is perm composed with s_i on the right
-        self.simple_getters = tuple(itemgetter(*p) for p in self.simple_perms)
+        # simple_getters[i](perm) is perm composed with s_i on the right, a
+        # ``composer`` that returns the system's permutation type
+        self.simple_getters = tuple(map(composer, self.simple_perms))
 
     def sum_index(self, a: int, b: int) -> int | None:
         """Index of root_a + root_b, or None if the sum is not a root.
@@ -293,14 +356,15 @@ class RootSystem:
         return tuple(tuple(sum(map(mul, p, c)) for c in co) for p in self._psc)
 
     @cached_property
-    def coset_chain(self) -> tuple[tuple[tuple[itemgetter, tuple[int, ...]], ...], ...]:
+    def coset_chain(self) -> tuple[tuple[tuple[Callable, tuple[int, ...]], ...], ...]:
         """Minimal coset representatives along J_1 < J_2 < ... < J_rank = S.
 
         With J_k = {1..k}, ``coset_chain[k - 1]`` holds the elements of
         W_{J_k} with no right descent in J_{k-1}: the minimal left coset
         representatives of W_{J_{k-1}} in W_{J_k}, identity first.
-        Each is a pair ``(getter, walk)``: an ``itemgetter`` that composes
-        on the right like ``simple_getters``, and the walk roots of a
+        Each is a pair ``(getter, walk)``: a ``composer`` that composes the
+        representative on the right like ``simple_getters``, returning the
+        system's permutation type, and the walk roots of a
         reduced word of the representative, the word its search found.
         Every w in W is c_rank ... c_1 for exactly one c_k per level
         (Björner-Brenti, *Combinatorics of Coxeter Groups*, §2.4).  Each
@@ -318,14 +382,14 @@ class RootSystem:
         levels = []
         for k in range(1, self.rank + 1):
             smaller = self.simple_index[:k - 1]
-            found = [(itemgetter(*self.identity_perm), ())]
+            found = [(composer(self.identity_perm), ())]
             seen = {self.identity_perm}
             for getter, walk in found:
                 for s, a in moves[:k]:
                     x = getter(s)
                     if x not in seen and all(x[j] >= npos for j in smaller):
                         seen.add(x)
-                        found.append((itemgetter(*x), (a, *[s[b] for b in walk])))
+                        found.append((composer(x), (a, *[s[b] for b in walk])))
             levels.append(tuple(found))
         return tuple(levels)
 
@@ -354,8 +418,10 @@ class RootSystem:
         return fmt, self.nroots * width // 8, limits, bias, columns
 
     @cached_property
-    def packed_heights(self) -> tuple[tuple[bytes, ...], int, tuple[bool, ...]]:
-        """``(fields, target, passing)`` for one-comparison first differences.
+    def packed_heights(self) -> tuple[tuple[bytes, ...], int, tuple[bool, ...],
+                                      bytes | None]:
+        """``(fields, target, passing, table)`` for one-comparison first
+        differences.
 
         ``fields[k]`` is ht(root_k) + max ht as one little-endian
         ``packed_pairing`` field, so joining ``fields`` in the order of
@@ -365,7 +431,11 @@ class RootSystem:
         max_a <a, 2 rho^vee> <= bound < B / 8 in size, where ``bound`` is the
         one ``packed_pairing`` sizes its field by; the build asserts it.
         ``passing`` is the verdict tuple of an element that holds at every
-        root.  Built on first use.
+        root.  ``packed_heights_of(perm)`` builds R.  When permutations
+        are ``bytes``, ``table`` is the 256-byte ``translate`` table of
+        ht(root_k) + max ht, which is under 256, so ``perm.translate(table)``
+        gives the low byte of every field of R in order and every other
+        byte is zero; it is None for tuples.  Built on first use.
         """
         nbytes = self.packed_pairing[1] // self.nroots
         off = max(self.heights)
@@ -373,7 +443,29 @@ class RootSystem:
             raise AssertionError(f"height drops up to {2 * off} are past the "
                                  f"digit bound of {8 * nbytes}-bit fields")
         fields = tuple((h + off).to_bytes(nbytes, "little") for h in self.heights)
-        return fields, int.from_bytes(b"".join(fields), "little"), (True,) * self.nroots
+        table = None
+        if type(self.identity_perm) is bytes:
+            table = bytes(h + off for h in self.heights).ljust(256, b"\0")
+        return (fields, int.from_bytes(b"".join(fields), "little"),
+                (True,) * self.nroots, table)
+
+    def packed_heights_of(self, perm) -> int:
+        """R: the ``packed_heights`` fields joined in the order of perm, as
+        one little-endian int.  On ``bytes`` one ``translate`` through the
+        table writes the low byte of each field into zeros."""
+        fields, _, _, table = self.packed_heights
+        if type(perm) is bytes:
+            right = bytearray(self.packed_pairing[1])
+            right[::len(fields[0])] = perm.translate(table)
+        else:
+            right = b"".join(itemgetter(*perm)(fields))
+        return int.from_bytes(right, "little")
+
+    @cached_property
+    def positive_table(self) -> bytes:
+        """Root signs as a ``lookup`` table: byte k is 1 when root k is
+        positive and 0 when it is negative.  Built on first use."""
+        return bytes(self.npos) + b"\1" * (self.nroots - self.npos)
 
     # -- basic queries ------------------------------------------------
 

@@ -3,18 +3,23 @@
 Elements carry a canonical reduced word (greedy smallest-descent
 extraction, so equal permutations always yield equal words) and the walk
 roots of a reduced word, and act on roots through precomputed
-simple-reflection permutation tables.  Permutations compose in C:
-``u * v`` is ``operator.itemgetter(*v.perm)(u.perm)``.  An unranked
-element gets its walk from the coset chain that builds it; any other
-element gets the roots that the descent walk extracting its canonical
-word visits.  The sign-flip machinery lives here: inversion sets, the
-two-step flip set ``flip_set(u, v)`` of positive roots sent negative by
-``v`` and back to positive by ``u``, and the coroot-sum functionals
-built on it.
+simple-reflection permutation tables.  A permutation is ``bytes``, one
+root index per byte, when the system has at most 256 roots, and a tuple
+otherwise.  This module does not test which: it indexes permutations,
+and it composes, inverts and maps them through per-root tables with the
+``rootsys`` helpers ``compose``, ``invert`` and ``lookup``, which run in
+C on either type, so ``u * v`` is ``v.perm.translate`` through ``u.perm``
+on ``bytes`` and ``itemgetter(*v.perm)(u.perm)`` on tuples.  An
+unranked element gets its walk from the coset chain that builds it; any
+other element gets the roots that the descent walk extracting its
+canonical word visits.  The sign-flip machinery lives here: inversion
+sets, the two-step flip set ``flip_set(u, v)`` of positive roots sent
+negative by ``v`` and back to positive by ``u``, and the coroot-sum
+functionals built on it.
 
 The first difference at a root a pairs a with the inversion-set coroot
-sum S(w) = sum_{b in inv(w)} b^vee.  ``iter_group`` carries S along its
-breadth-first search: if w(alpha_i) > 0 then inv(w s_i) is
+sum S(w) = sum_{b in inv(w)} b^vee.  ``iter_group`` carries S along each
+edge of its descent tree: if w(alpha_i) > 0 then inv(w s_i) is
 s_i(inv(w)) with alpha_i added, so S(w s_i) = S(w) - (<alpha_i, S(w)> - 1)
 alpha_i^vee, one Cartan row read and one coordinate changed.  Any other
 element builds S from ``inversion_set``.  The pairing is linear in S(w),
@@ -25,9 +30,13 @@ height fields joined in the order of ``perm`` (``RootSystem.packed_heights``)
 equals the fields joined in root order exactly when every root holds,
 since no field of either side reaches half the field's range.  Only an
 element that fails builds its per-root verdict list.
-``iter_group`` yields W breadth-first by length, one length level at a
-time, and composes only the moves that go up in length; an exhaustive
-sweep reads it element by element, and ``enumerate_group`` is its list.
+
+``iter_group`` walks W depth-first as a tree in which every element but
+the identity has one parent, w s_j for the smallest right descent j of w,
+so it makes each element once and holds one path of the tree; an
+exhaustive sweep reads it element by element.  ``enumerate_group`` lists
+W in breadth-first order by length, the order the exhaustive pair sweeps
+follow.
 
 Sampling is uniform by construction.  ``unrank`` is a bijection from
 [0, |W|) onto W: it reads an index's mixed-radix digits as one minimal
@@ -42,11 +51,12 @@ walks, moved through the prefix already composed, give its walk.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import compress
 from math import factorial
 from operator import eq, itemgetter, le, mul, sub
 from sys import byteorder
 
-from .rootsys import RootSystem
+from .rootsys import RootSystem, compose, invert, lookup
 
 __all__ = [
     "WeylElement",
@@ -69,7 +79,9 @@ __all__ = [
 class WeylElement:
     """A Weyl group element: the permutation it induces on the root list.
 
-    ``perm[k]`` is the index of ``w(root_k)``.  Words use 1-based simple
+    ``perm[k]`` is the index of ``w(root_k)``; ``perm`` has the type of
+    ``rs.identity_perm``, ``bytes`` when the system has at most 256 roots
+    and a tuple of ints otherwise.  Words use 1-based simple
     indices following the Bourbaki numbering.  An element that
     ``iter_group`` yields carries S(w) in ``_coroot_sum``; every element
     keeps its first-difference verdicts in ``_verdicts`` once checked:
@@ -80,7 +92,7 @@ class WeylElement:
     __slots__ = ("rs", "perm", "_word", "_walk", "_length", "_hash",
                  "_coroot_sum", "_verdicts")
 
-    def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
+    def __init__(self, rs: RootSystem, perm: bytes | tuple[int, ...]):
         self.rs = rs
         self.perm = perm
         self._word = None
@@ -99,17 +111,14 @@ class WeylElement:
         return self._hash
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.rs, itemgetter(*other.perm)(self.perm))
+        return WeylElement(self.rs, compose(self.perm, other.perm))
 
     def apply_simple(self, i: int) -> int:
         """Image root index of alpha_i (1-based)."""
         return self.perm[self.rs.simple_index[i - 1]]
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.perm)
-        for k, v in enumerate(self.perm):
-            inv[v] = k
-        return WeylElement(self.rs, tuple(inv))
+        return WeylElement(self.rs, invert(self.perm))
 
     def is_identity(self) -> bool:
         return self._length == 0 if self._length is not None else \
@@ -118,8 +127,9 @@ class WeylElement:
     @property
     def length(self) -> int:
         if self._length is None:
-            npos = self.rs.npos
-            self._length = len([x for x in self.perm[npos:] if x < npos])
+            # the negative images of the positive roots
+            rs = self.rs
+            self._length = lookup(self.perm[rs.npos:], rs.positive_table).count(0)
         return self._length
 
     @property
@@ -187,7 +197,7 @@ class WeylElement:
 
         Equals rho^vee - w^-1(rho^vee); it is never taken from that closed
         form, so first-difference checks stay two-route.  An element from
-        ``iter_group`` returns the S carried along the search; any other
+        ``iter_group`` returns the S carried along the descent tree; any other
         builds it from the inversion set on each access, without keeping it.
         """
         s = self._coroot_sum
@@ -240,16 +250,22 @@ def inversion_set(w: WeylElement) -> frozenset[int]:
 
 
 def flip_set(u: WeylElement, v: WeylElement) -> frozenset[int]:
-    """{a > 0 : v(a) < 0 and u(v(a)) > 0}."""
-    npos = u.rs.npos
-    pu = u.perm
-    pv = v.perm
-    out = []
-    for k in u.rs.positive_indices():
-        vk = pv[k]
-        if vk < npos and pu[vk] >= npos:
-            out.append(k)
-    return frozenset(out)
+    """{a > 0 : v(a) < 0 and u(v(a)) > 0}, read from ``_flip_mask``."""
+    return frozenset(compress(u.rs.positive_indices(),
+                              _flip_mask(u.perm, v.perm, u.rs)))
+
+
+def _flip_mask(pu, pv, rs: RootSystem) -> bytes:
+    """Byte k is 1 when pv[npos + k] < npos <= pu[pv[npos + k]], else 0.
+
+    ``lookup(pu[:npos], positive_table)`` holds, for each negative root j,
+    whether u(j) is positive; padded with zeros, which a positive j reads,
+    it is the table that one ``lookup`` of the positive roots' images
+    under v reads.
+    """
+    npos = rs.npos
+    back = lookup(pu[:npos], rs.positive_table).ljust(rs.nroots, b"\0")
+    return lookup(pv[npos:], back)
 
 
 def flip_functional(u: WeylElement, v: WeylElement, a: int) -> int:
@@ -285,27 +301,27 @@ def check_first_difference(w: WeylElement, a: int) -> bool:
 
     Verifies sum_{b in inv(w)} <a, b^vee> == ht(a) - ht(w(a)).  The left
     side is <a, S(w)> with S(w) = ``w.coroot_sum``: carried along the
-    search for an ``iter_group`` element, built from inv(w) otherwise.
+    descent tree for an ``iter_group`` element, built from inv(w) otherwise.
     The right side reads only heights and ``w.perm``, so the two sides
     come from independent routes.  The first call on an element decides
     every root at once with one integer comparison: P + R == T, where
-    P = ``_packed_pairings(w)``, R joins the height fields of
-    ``RootSystem.packed_heights`` in the order of ``w.perm`` and T joins
-    them in root order.  Every field of P and of T - R is under B/2 in
-    size (the range check and the build's digit bound), so the sum is T
-    exactly when every root's two sides agree.  A passing element keeps
-    the system's shared all-True verdicts; any other compares
-    ``_pairing_vector`` with the height drops root by root.  Later calls
-    index the verdicts kept on the element.
+    P = ``_packed_pairings(w)``, R = ``RootSystem.packed_heights_of(w.perm)``
+    joins the height fields of ``RootSystem.packed_heights`` in the order
+    of ``w.perm`` and T joins them in root order.  Every field of P and
+    of T - R is under B/2 in size (the range check and the build's digit
+    bound), so the sum is T exactly when every root's two sides agree.  A
+    passing element keeps the system's shared all-True verdicts; any
+    other compares ``_pairing_vector`` with the height drops root by
+    root.  Later calls index the verdicts kept on the element.
     """
     verdicts = w._verdicts
     if verdicts is None:
-        fields, target, passing = w.rs.packed_heights
-        right = int.from_bytes(b"".join(itemgetter(*w.perm)(fields)), "little")
-        if _packed_pairings(w) + right == target:
+        rs = w.rs
+        _, target, passing, _ = rs.packed_heights
+        if _packed_pairings(w) + rs.packed_heights_of(w.perm) == target:
             verdicts = passing
         else:
-            heights = w.rs.heights
+            heights = rs.heights
             drops = map(sub, heights, itemgetter(*w.perm)(heights))
             verdicts = list(map(eq, _pairing_vector(w), drops))
         w._verdicts = verdicts
@@ -318,13 +334,12 @@ def check_flip_symmetry(w: WeylElement) -> bool:
     Both sides are {b > 0 : w^-1(b) < 0, w^-2(b) > 0} for any bijection
     w of the roots, so the identity says nothing about the root system:
     it tests ``__mul__`` and ``inverse``, the operations it relies on.
-    The two flip sets are taken inline, as in ``flip_set``.
+    The two flip sets are read from ``_flip_mask``, as in ``flip_set``.
     """
-    npos = w.rs.npos
-    pos = w.rs.positive_indices()
+    rs = w.rs
     p, p2, pi = w.perm, (w * w).perm, w.inverse().perm
-    lhs = {p2[k] for k in pos if p[k] < npos and p[p[k]] >= npos}
-    return lhs == {k for k in pos if pi[k] < npos and pi[pi[k]] >= npos}
+    return set(compress(p2[rs.npos:], _flip_mask(p, p, rs))) == \
+        set(compress(rs.positive_indices(), _flip_mask(pi, pi, rs)))
 
 
 def longest_element(rs: RootSystem, nodes=None) -> WeylElement:
@@ -357,47 +372,73 @@ def group_order(rs: RootSystem) -> int:
 
 
 def iter_group(rs: RootSystem) -> Iterator[WeylElement]:
-    """Yield every element, breadth-first by length; deterministic order.
+    """Yield every element once, depth-first down the descent tree.
 
-    Level l + 1 is built from level l alone: p s_i is composed only when
-    p(alpha_i) > 0, the moves that make p longer (Humphreys, *Reflection
-    Groups and Coxeter Groups*, §1.6-1.7), and an insertion-ordered dict
-    keeps each new element where it is first reached.  The order is
-    that of a breadth-first search over all moves with one global
-    ``seen`` set, since an element of length l + 1 is reached only from
-    level l.  Only the permutations of the level being yielded and of
-    the level being built are held, so a sweep that drops each element
-    after its check never holds all of W.
+    Every w other than the identity has one parent, w s_j for the smallest
+    right descent j of w (Björner-Brenti, *Combinatorics of Coxeter
+    Groups*, ch. 3).  So p s_i is a child of p exactly when p(alpha_i) > 0
+    and (p s_i)(alpha_j) = p(s_i(alpha_j)) > 0 for every j < i.  The roots
+    s_i(alpha_j), j < i, are read from ``simple_perms`` once per walk
+    (``_earlier_roots``), so the test composes nothing, and only children are
+    composed: |W| - 1 compositions, each element made once.  Children
+    follow in increasing i, and the walk holds one path of the tree with
+    the pending siblings along it, never a whole length level.
 
-    Each element carries S(w) = sum_{b in inv(w)} b^vee (``coroot_sum``),
-    taken from the parent that reaches it first: on such a move inv(p s_i)
-    is s_i(inv(p)) with alpha_i added, so only coordinate i changes, to
+    Each element carries S(w) = sum_{b in inv(w)} b^vee (``coroot_sum``)
+    from its parent: on an edge p -> p s_i, p(alpha_i) > 0, so inv(p s_i)
+    is s_i(inv(p)) with alpha_i added, and only coordinate i changes, to
     S_i + 1 - <alpha_i, S(p)>, read from row i of the Cartan pairings
     <alpha_i, alpha_j^vee>.
     """
     npos = rs.npos
+    simples = rs.simple_index
     # <alpha_i, alpha_j^vee> is entry (j, i) of the Cartan matrix
     rows = tuple(zip(*rs.datum.cartan_matrix))
-    moves = tuple(zip(range(rs.rank), rs.simple_index, rs.simple_getters, rows))
-    level = {rs.identity_perm: (0,) * rs.rank}
-    while level:
-        for x, s in level.items():
-            w = WeylElement(rs, x)
-            w._coroot_sum = s
-            yield w
-        nxt = {}
-        for p, s in level.items():
-            for i, a, getter, row in moves:
-                if p[a] >= npos:
-                    x = getter(p)
-                    if x not in nxt:
-                        nxt[x] = s[:i] + (s[i] + 1 - sum(map(mul, row, s)),) + s[i + 1:]
-        level = nxt
+    # earlier[i] reads p(alpha_i) and p(s_i(alpha_j)) for j < i; alpha_i is
+    # listed twice so that the getter returns a tuple for i = 0 too
+    earlier = tuple(itemgetter(a, a, *roots)
+                    for a, roots in zip(simples, _earlier_roots(rs)))
+    # reversed, so that the stack pops the children in increasing i
+    moves = tuple(reversed(tuple(zip(range(rs.rank), simples, earlier,
+                                     rs.simple_getters, rows))))
+    stack = [(rs.identity_perm, (0,) * rs.rank)]
+    while stack:
+        p, s = stack.pop()
+        w = WeylElement(rs, p)
+        w._coroot_sum = s
+        yield w
+        for i, a, images, step, row in moves:
+            if p[a] >= npos and min(images(p)) >= npos:
+                si = s[i] + 1 - sum(map(mul, row, s))
+                stack.append((step(p), s[:i] + (si,) + s[i + 1:]))
+
+
+def _earlier_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Entry i lists s_i(alpha_j) for j < i: p s_i has a right descent
+    before i exactly when p sends one of them to a negative root."""
+    simples = rs.simple_index
+    return tuple(tuple(s[b] for b in simples[:i])
+                 for i, s in enumerate(rs.simple_perms))
 
 
 def enumerate_group(rs: RootSystem) -> list[WeylElement]:
-    """All elements in a list, in ``iter_group``'s order."""
-    return list(iter_group(rs))
+    """All elements in a list, breadth-first by length; deterministic order.
+
+    Level l + 1 is built from level l alone: p s_i is composed only when
+    p(alpha_i) > 0, the moves that make p longer (Humphreys, *Reflection
+    Groups and Coxeter Groups*, §1.6-1.7), and each new element keeps the
+    place where it is first reached.  The order is that of a breadth-first
+    search over all moves with one global ``seen`` set, since an element
+    of length l + 1 is reached only from level l.
+    """
+    npos = rs.npos
+    moves = tuple(zip(rs.simple_index, rs.simple_getters))
+    group, level = [], [rs.identity_perm]
+    while level:
+        group += [WeylElement(rs, p) for p in level]
+        level = list(dict.fromkeys(step(p) for p in level for a, step in moves
+                                   if p[a] >= npos))
+    return group
 
 
 def unrank(rs: RootSystem, n: int) -> WeylElement:

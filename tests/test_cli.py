@@ -531,12 +531,14 @@ def _one_check_config(systems, **checks):
 
 
 # Each fault is planted in the function a check relies on; the expected
-# entries were recorded before the checks returned their outcomes.
+# entries were recorded before the checks returned their outcomes.  The
+# first-difference witness is the third element of the descent tree's
+# depth-first order, s_1 s_2 (the breadth-first order had s_2 there).
 @pytest.mark.parametrize("module, name, nth, outcome, entry", [
     (weyl, "check_first_difference", 30, False,
      {"name": "first_difference", "system": "A3", "mode": "exhaustive",
       "count": 30, "passed": False,
-      "counterexample": {"word": [2], "root": [0, 0, -1]}}),
+      "counterexample": {"word": [1, 2], "root": [0, 0, -1]}}),
     (tits, "check_cocycle_formula", 20, False,
      {"name": "cocycle", "system": "B2", "mode": "exhaustive", "count": 20,
       "passed": False, "counterexample": {"u_word": [2], "v_word": [1, 2]}}),
@@ -726,6 +728,9 @@ def test_planted_wrong_height_fails_the_exhaustive_sweep(monkeypatch, system):
     assert w.perm[hi] != hi and hi in (k, w.perm[k])
     word, root = entry["counterexample"]["word"], entry["counterexample"]["root"]
     assert (word, root) == (list(w.word), list(rs.roots[k]))
+    # recorded in the descent tree's order; D5's third element is s_1 s_2
+    assert (entry["count"], word, root) == {
+        "A3": (22, [1], [0, 1, 1]), "D5": (119, [1, 2], [1, 1, 2, 1, 1])}[system]
     assert not weyl.check_first_difference(weyl.from_word(rs, word), k)
     clean = root_system(label, rank)
     assert weyl.check_first_difference(weyl.from_word(clean, word),
@@ -917,10 +922,12 @@ def test_flip_symmetry_catches_a_planted_inverse_fault(monkeypatch, system,
     w = weyl.from_word(rs, witness["word"])
     assert not weyl.check_flip_symmetry(w)
     if budget:  # the first element, in sweep order, that the fault breaks
-        group = weyl.enumerate_group(rs)
+        group = list(weyl.iter_group(rs))
         k = got["count"] // rs.nroots - 1
         assert group[k] == w
         assert all(weyl.check_flip_symmetry(x) for x in group[:k])
+        # s_1 s_2, the first element that is not an involution, is third
+        assert (got["count"], witness["word"]) == (3 * rs.nroots, [1, 2])
     monkeypatch.undo()
     assert weyl.check_flip_symmetry(weyl.from_word(rs, witness["word"]))
 
@@ -1003,15 +1010,11 @@ def test_first_difference_sweep_keeps_nothing_per_element():
     assert retained < 64 * len(group)
 
 
-# tracemalloc peaks of one first-difference sweep, in MB: when the sweep
-# held all its elements they were 0.99 (D5), 13.94 (D6), 2.94 (E7) and
-# 5.13 (E8); streamed, 0.25, 2.2, 0.23 and 0.23.  Each bound is midway.
-@pytest.mark.parametrize("system, budget, bound_mb", [
-    ("D5", 1920, 0.62), ("D6", 23_040, 8.0), ("E7", 0, 1.6), ("E8", 0, 2.7)])
-def test_first_difference_sweep_holds_no_elements(system, budget, bound_mb):
-    """The sweep checks one element at a time, exhaustive or sampled, and
-    never lists W.  The coset chain and packed pairing table are built
-    first, so only the sweep's own allocations count."""
+def _first_difference_sweep_peak(system, budget):
+    """Sweep ``first_difference`` on one system and return the outcome,
+    the tracemalloc peak in bytes, the context and the config.  The coset
+    chain and packed pairing table are built first, so only the sweep's
+    own allocations count."""
     ctx = cli.SystemContext({"type": system[0], "rank": int(system[1:])})
     ctx.rs.coset_chain, ctx.rs.packed_pairing
     cfg = {**load_config(None), "budget": budget}
@@ -1019,15 +1022,41 @@ def test_first_difference_sweep_holds_no_elements(system, budget, bound_mb):
     gc.collect()
     tracemalloc.start()
     try:
-        mode, count, witness = cli._sweep_first_difference(ctx, cfg, rng)
+        outcome = cli._sweep_first_difference(ctx, cfg, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return outcome, peak, ctx, cfg
+
+
+# tracemalloc peaks of one first-difference sweep, in MB: when the sweep
+# held all its elements they were 0.99 (D5), 13.94 (D6), 2.94 (E7) and
+# 5.13 (E8); streamed, 0.25, 2.2, 0.23 and 0.23.  Each bound is midway.
+@pytest.mark.parametrize("system, budget, bound_mb", [
+    ("D5", 1920, 0.62), ("D6", 23_040, 8.0), ("E7", 0, 1.6), ("E8", 0, 2.7)])
+def test_first_difference_sweep_holds_no_elements(system, budget, bound_mb):
+    """The sweep checks one element at a time, exhaustive or sampled, and
+    never lists W."""
+    (mode, count, witness), peak, ctx, cfg = _first_difference_sweep_peak(
+        system, budget)
     assert witness is None
     assert mode == ("exhaustive" if budget else "sampled")
     assert count == (budget or cfg["samples"]) * ctx.rs.nroots
     assert peak < bound_mb * 2 ** 20
     assert "group" not in vars(ctx)
+
+
+# The exhaustive D5 and D6 sweeps held two breadth-first length levels,
+# 0.20 and 2.36 MB at their tracemalloc peaks, until the descent-tree walk,
+# which holds one path: 0.013 and 0.017 MB.  Each bound is midway.
+@pytest.mark.parametrize("system, bound_mb", [("D5", 0.1), ("D6", 1.2)])
+def test_exhaustive_first_difference_sweep_holds_one_path(system, bound_mb):
+    """The exhaustive sweep walks W depth-first and holds no length level."""
+    rs = root_system(system[0], int(system[1:]))
+    (mode, _, witness), peak, _, _ = _first_difference_sweep_peak(
+        system, weyl.group_order(rs))
+    assert (mode, witness) == ("exhaustive", None)
+    assert peak < bound_mb * 2 ** 20
 
 
 def test_sampled_first_difference_witness_is_the_kth_draw(monkeypatch):
@@ -1061,3 +1090,26 @@ def test_first_difference_calls_match_the_report_count(monkeypatch, budget, mode
     assert len(calls) == got["count"]
     assert len(inversions) == (0 if budget else cfg["samples"])
     assert got["count"] == (192 if budget else cfg["samples"]) * 24
+
+
+# (type, ranks) of every irreducible type with |W| <= |W(E7)| = 2 903 040,
+# each isomorphism class once: C2 is B2 and D3 is A3
+CERTIFY_ALL = [("A", range(1, 9)), ("B", range(2, 8)), ("C", range(3, 8)),
+               ("D", range(4, 8)), ("E", (6, 7)), ("F", (4,)), ("G", (2,))]
+
+
+@pytest.mark.parametrize("name, systems", [
+    ("certify-e7.json", [("E", 7)]),
+    ("certify-all.json", [(t, r) for t, ranks in CERTIFY_ALL for r in ranks]),
+])
+def test_certify_config_is_an_exhaustive_first_difference_sweep(name, systems):
+    """The committed certificate configs, loaded and not run: the systems
+    they name, only ``first_difference`` on, and a ``budget`` that sweeps
+    every group in full and no more than the largest needs."""
+    cfg = load_config(str(Path(__file__).parent.parent / name))
+    assert [(s["type"], s["rank"]) for s in cfg["systems"]] == systems
+    assert [k for k, on in cfg["checks"].items() if on] == ["first_difference"]
+    orders = [weyl.group_order(root_system(t, r)) for t, r in systems]
+    assert cfg["budget"] == max(orders) == 2_903_040
+    assert sum(orders) == {"certify-e7.json": 2_903_040,
+                           "certify-all.json": 5_103_820}[name]

@@ -355,8 +355,10 @@ def test_root_codes_match_the_coordinate_tuples(label, rank, get_rs):
     assert rs.neg == tuple(index[tuple(-c for c in r)] for r in roots)
     assert rs.simple_index == tuple(
         index[tuple(1 if j == i else 0 for j in range(rank))] for i in range(rank))
+    # every type here has at most 240 roots, so permutations are bytes
+    assert rs.identity_perm == bytes(range(rs.nroots))
     assert rs.simple_perms == tuple(
-        tuple(index[r[:i] + (r[i] - p[i],) + r[i + 1:]] for r, p in zip(roots, psc))
+        bytes(index[r[:i] + (r[i] - p[i],) + r[i + 1:]] for r, p in zip(roots, psc))
         for i in range(rank))
 
 

@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from weylrep import weyl
+from weylrep import rootsys, weyl
 from weylrep.cli import load_config, run_sweep
 from weylrep.rootsys import RootSystem, root_system
 from weylrep.weyl import (
@@ -351,7 +351,7 @@ def test_coset_chain_factors_the_poincare_polynomial(label, rank, get_rs):
     since lengths add along W_{J_k} = W^{J_(k-1)} W_{J_(k-1)}, and the
     longest representatives multiply to w_0."""
     rs = get_rs(label, rank)
-    start = tuple(range(rs.nroots))
+    start = rs.identity_perm
     poly = [1]
     longest = identity(rs)
     for level in rs.coset_chain:
@@ -474,16 +474,16 @@ def test_unrank_rejects_an_index_outside_the_group(get_rs):
 
 def _enumerate_group_oracle(rs):
     """Breadth-first search over every move s_i, with one global ``seen``
-    set: the order the exhaustive witnesses were pinned in."""
-    start = tuple(range(rs.nroots))
+    set, composing index by index: the order of the pair sweeps."""
+    start = rs.identity_perm
     seen = {start}
     out = [start]
     frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
-            for getter in rs.simple_getters:
-                x = getter(p)
+            for s in rs.simple_perms:
+                x = type(p)(p[k] for k in s)
                 if x not in seen:
                     seen.add(x)
                     out.append(x)
@@ -496,11 +496,65 @@ def _enumerate_group_oracle(rs):
 def test_enumerate_group_keeps_the_full_search_order(label, rank, get_rs):
     rs = get_rs(label, rank)
     group = enumerate_group(rs)
-    oracle = _enumerate_group_oracle(rs)
-    assert [w.perm for w in group] == oracle
-    assert [w.perm for w in weyl.iter_group(rs)] == oracle
+    assert [w.perm for w in group] == _enumerate_group_oracle(rs)
     lengths = [w.length for w in group]
     assert lengths == sorted(lengths)
+
+
+def _tree_oracle(rs):
+    """The descent tree depth-first, children by increasing i: p s_i,
+    composed index by index, is a child of p when p(alpha_i) > 0 and i is
+    the smallest right descent of p s_i, read from every simple root."""
+    npos, simples = rs.npos, rs.simple_index
+    out = []
+
+    def visit(p):
+        out.append(p)
+        for i, s in enumerate(rs.simple_perms):
+            x = type(p)(p[k] for k in s)
+            descents = [j for j, a in enumerate(simples) if x[a] < npos]
+            if p[simples[i]] >= npos and descents[0] == i:
+                visit(x)
+
+    visit(rs.identity_perm)
+    return out
+
+
+@pytest.mark.parametrize("label,rank", [
+    t for t in SMALL_TYPES if math.prod(_degrees(*t)) <= 2000])
+def test_iter_group_walks_the_descent_tree_in_order(label, rank, get_rs):
+    """The exhaustive first-difference witnesses follow this order."""
+    rs = get_rs(label, rank)
+    assert [w.perm for w in weyl.iter_group(rs)] == _tree_oracle(rs)
+
+
+def _assert_each_element_once(rs):
+    """|W| distinct permutations, each with the inversion-set coroot sum."""
+    count, perms = 0, set()
+    for w in weyl.iter_group(rs):
+        count += 1
+        perms.add(w.perm)
+        assert w._coroot_sum == rs.coroot_sum(inversion_set(w))
+    assert count == len(perms) == group_order(rs)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 4), ("D", 5), ("G", 2)])
+def test_wrong_descent_table_entry_fails_the_exactly_once_test(label, rank,
+                                                              monkeypatch):
+    """One wrong root in the table of s_i(alpha_j), j < i, makes the walk
+    reach some element twice or never."""
+    rs = root_system(label, rank)
+    real = weyl._earlier_roots
+
+    def planted(rs):
+        table = list(real(rs))
+        table[1] = (rs.simple_index[1],)  # s_2(alpha_1) read as alpha_2
+        return tuple(table)
+
+    _assert_each_element_once(rs)
+    monkeypatch.setattr(weyl, "_earlier_roots", planted)
+    with pytest.raises(AssertionError):
+        _assert_each_element_once(rs)
 
 
 @pytest.mark.parametrize("label,rank", SMALL_TYPES + [("E", 7), ("E", 8)])
@@ -672,7 +726,7 @@ def test_height_drops_fit_the_packed_digit_bound(label, rank):
     bound that sizes the pairing field, and so under a quarter of half a
     field: every digit of T - R is well inside (-B/2, B/2)."""
     rs = root_system(label, rank)
-    fields, target, passing = rs.packed_heights
+    fields, target, passing, table = rs.packed_heights
     width = 8 * len(fields[0])
     assert rs.packed_pairing[1] * 8 == width * rs.nroots
     bound = max(sum(abs(c) * r for c, r in zip(row, rs.rho_check_twice))
@@ -685,6 +739,11 @@ def test_height_drops_fit_the_packed_digit_bound(label, rank):
         [h + drop // 2 for h in rs.heights]
     assert target == int.from_bytes(b"".join(fields), "little")
     assert passing == (True,) * rs.nroots
+    if rs.nroots <= 256:  # each field's low byte, read by one translate
+        assert table == bytes(f[0] for f in fields) + bytes(256 - rs.nroots)
+        assert all(not any(f[1:]) for f in fields)
+    else:
+        assert table is None
 
 
 @pytest.mark.parametrize("label,rank", [("E", 7), ("E", 8), ("A", 20)])
@@ -708,7 +767,7 @@ def test_composition_is_u_after_v_on_every_pair(label, rank, get_rs):
     for u in group:
         for v in group:
             uv = (u * v).perm
-            assert type(uv) is tuple
+            assert type(uv) is bytes
             assert all(uv[k] == u.perm[v.perm[k]] for k in range(rs.nroots))
 
 
@@ -718,7 +777,55 @@ def test_composition_is_u_after_v_on_sampled_e8_pairs(get_rs):
     for _ in range(500):
         u, v = weyl.random_element(rs, rng), weyl.random_element(rs, rng)
         uv = (u * v).perm
+        assert type(uv) is bytes
         assert all(uv[k] == u.perm[v.perm[k]] for k in range(rs.nroots))
+
+
+# each side of the 256-root line: A15 and D11 hold a root index in a byte,
+# A16 (272 roots) and D12 (264) do not
+@pytest.mark.parametrize("label,rank,kind", [("A", 15, bytes), ("A", 16, tuple),
+                                             ("D", 11, bytes), ("D", 12, tuple)])
+def test_permutation_operations_match_the_tuple_oracle(label, rank, kind):
+    """Compose, invert, lookup, the packed heights, length, the inversion
+    and flip sets and the composers agree with index-by-index tuple
+    formulas, in the system's own type; u * v is u after v."""
+    rs = root_system(label, rank)
+    n, npos = rs.nroots, rs.npos
+    assert (n <= 256) == (kind is bytes)
+    assert type(rs.identity_perm) is kind and list(rs.identity_perm) == list(range(n))
+    assert all(type(s) is kind for s in rs.simple_perms)
+    sign = rs.positive_table
+    assert sign == bytes(int(k >= npos) for k in range(n))
+    fields = rs.packed_heights[0]
+    rng = random.Random(f"permutation-ops/{label}{rank}")
+    commuting = 0
+    for _ in range(40):
+        u, v = weyl.random_element(rs, rng), weyl.random_element(rs, rng)
+        pu, pv = u.perm, v.perm
+        uv, inv = (u * v).perm, u.inverse().perm
+        assert type(pu) is type(uv) is type(inv) is kind
+        assert list(uv) == [pu[pv[k]] for k in range(n)]
+        assert list(inv) == sorted(range(n), key=pu.__getitem__)
+        assert rootsys.compose(pu, pv) == uv and rootsys.invert(pu) == inv
+        assert rootsys.lookup(pu, sign) == bytes(sign[x] for x in pu)
+        assert rootsys.lookup(pu[npos:], sign) == bytes(int(x >= npos) for x in pu[npos:])
+        assert rs.packed_heights_of(pu) == \
+            int.from_bytes(b"".join(fields[x] for x in pu), "little")
+        assert weyl.WeylElement(rs, pu).length == \
+            sum(1 for k in range(npos, n) if pu[k] < npos)
+        assert inversion_set(u) == {k for k in range(npos, n) if pu[k] < npos}
+        assert flip_set(u, v) == {k for k in range(npos, n)
+                                  if pv[k] < npos <= pu[pv[k]]}
+        assert check_flip_symmetry(u)
+        for s, step in zip(rs.simple_perms, rs.simple_getters):
+            x = step(pu)
+            assert type(x) is kind and list(x) == [pu[k] for k in s]
+        commuting += uv == (v * u).perm
+    assert commuting < 40
+    for level in rs.coset_chain:
+        for getter, _ in level[:3]:
+            rep = getter(rs.identity_perm)
+            assert type(rep) is kind and getter(pu) == rootsys.compose(pu, rep)
 
 
 def _digest(obj):
@@ -750,12 +857,12 @@ def test_coset_chain_and_unrank_match_their_pins(label, rank, get_rs):
     assert (_digest(chain), _digest(unranked)) == CHAIN_PINS[label, rank]
 
 
-@pytest.mark.parametrize("label,rank", [("A", 4), ("B", 4), ("C", 3), ("D", 5),
-                                        ("F", 4), ("G", 2)])
+# every type with |W| <= 51 840
+@pytest.mark.parametrize("label,rank", SMALL_TYPES)
 def test_carried_coroot_sum_is_the_inversion_set_sum(label, rank, get_rs):
-    rs = get_rs(label, rank)
-    for w in weyl.iter_group(rs):
-        assert w._coroot_sum == rs.coroot_sum(inversion_set(w))
+    """The descent tree yields each element exactly once, and each carries
+    the coroot sum of its inversion set."""
+    _assert_each_element_once(get_rs(label, rank))
 
 
 def test_first_difference_verdicts_follow_the_element_not_its_perm(monkeypatch):
