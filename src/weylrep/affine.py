@@ -315,7 +315,8 @@ def _verify_omega(rs, node, sigma, perm) -> None:
 
 
 class SigmaRSDatum(namedtuple("SigmaRSDatum",
-                              "w r_root s_root parts triples fiber_sizes")):
+                              "w r_root s_root parts triples fiber_sizes "
+                              "flip_coroot_sum")):
     """Coefficient partition of the positive roots for an order >= 3
     stabilizer projection, with the additive triples between the parts.
 
@@ -324,7 +325,9 @@ class SigmaRSDatum(namedtuple("SigmaRSDatum",
     (R, S)-coefficient parts (0,0), (0,1), (1,0) and (1,1); ``triples``
     holds every root-index triple (a, b, a + b) with a in the (0,1) part
     and b in the (1,0) part; ``fiber_sizes`` is the three int sizes of
-    the constant fibers of its projections.
+    the constant fibers of its projections; ``flip_coroot_sum`` is the
+    sum of the coroots over the (1,0) part, the flip set of (w, w), in
+    simple-coroot coordinates, so F_w(a) = <a, flip_coroot_sum>.
     """
 
     __slots__ = ()
@@ -391,7 +394,7 @@ def sigma_rs(om: OmegaElement) -> SigmaRSDatum:
         fibers.append(sizes.pop())
 
     return SigmaRSDatum(w, r_root, s_root, (p00, p01, p10, p11),
-                        tuple(triples), tuple(fibers))
+                        tuple(triples), tuple(fibers), rs.coroot_sum(p10))
 
 
 def _check_extremal(rs, part, ext, minimal: bool) -> None:
@@ -408,15 +411,16 @@ def _check_extremal(rs, part, ext, minimal: bool) -> None:
 def check_second_difference(datum: SigmaRSDatum, a: int) -> bool:
     """Cleared-denominator identity for the flip-set functional.
 
-    h * F_w(a) == c * [ht(a) - 2 ht(w(a)) + ht(w^2(a))], with F_w summed
-    over the (1,0) part, c the third fiber size; also re-asserts the
-    fiber-size relations that come with it.
+    h * F_w(a) == c * [ht(a) - 2 ht(w(a)) + ht(w^2(a))], with F_w(a)
+    paired from the datum's ``flip_coroot_sum`` over the (1,0) part, c the
+    third fiber size; also re-asserts the fiber-size relations that come
+    with it.
     """
     rs = datum.w.rs
     fa, fb, fc = datum.fiber_sizes
     if fa != fc or fa + fb + fc != rs.coxeter_number:
         return False
-    fw = sum(map(mul, rs._psc[a], rs.coroot_sum(datum.parts[2])))
+    fw = sum(map(mul, rs._psc[a], datum.flip_coroot_sum))
     w = datum.w
     wa = w.perm[a]
     w2a = w.perm[wa]

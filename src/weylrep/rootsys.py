@@ -11,6 +11,15 @@ dict lookup (``RootSystem.sum_index``, ``root_string``).  The code is
 exact while every coordinate lies in (-64, 64); a build checks that the
 farthest probe, b + 4a in a root string, stays inside that window.
 
+A build closes the simple roots over their codes in one pass, a height
+at a time, each layer sorted by coefficients, and each new root carries
+its code, pairings with the simple coroots and norm from its parent
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+§9.4 and §10.2).  The positive roots come out in (height, coefficients)
+order, and the negative half mirrors them: root k is -root(nroots - 1 - k),
+so ``neg[k] = nroots - 1 - k`` and no table of a negative root is
+computed on its own.
+
 A permutation of the roots is ``bytes`` when there are at most 256 roots,
 one root index per byte, and a tuple of ints otherwise (A_n for n >= 16,
 B_n, C_n and D_n for n >= 12).  Only this module reads that layout:
@@ -24,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from functools import cached_property
-from operator import itemgetter, mul
+from operator import add, itemgetter, lt, mul, neg
 from struct import calcsize
 
 __all__ = [
@@ -129,10 +138,9 @@ def _cartan_matrix(label: str, rank: int) -> list[list[int]]:
         m[4 - 1][2 - 1] = -1
     elif label == "F":
         m[2][1] = -2
-    elif label == "G":
-        m[0][1] = -3
     else:
-        raise CartanError(f"unknown type label {label!r}")
+        # "G": cartan_datum has already refused every other label
+        m[0][1] = -3
     return m
 
 
@@ -202,16 +210,65 @@ _CODE_SHIFT = 7  # bits per coordinate of a root code
 _CODE_REACH = 5  # b + 4a, the farthest root-string probe, has |coordinate| <= 5 max
 
 
-def _root_codes(roots) -> tuple[int, ...]:
-    """sum_i c_i * 128^i for each coordinate tuple, one code per root.
+def _positive_roots(cartan, norms2) -> list[tuple]:
+    """The positive roots as ``(coefficients, code, height, pairing, norm)``
+    entries, sorted by (height, coefficients).
 
-    The codes of integer vectors with every coordinate in (-64, 64) are
-    distinct, so a probe inside that window can never alias a root.
+    One closure of the simple roots under root-string addition, a height
+    at a time: beta + alpha_i is a root exactly when the alpha_i-string
+    through beta reaches q > <beta, alpha_i^vee> steps down, and q is
+    probed by code among the lower heights, which are complete.  Each new
+    root carries its code, pairing row (<beta, alpha_j^vee> plus
+    <alpha_i, alpha_j^vee>) and norm ((beta|beta) plus
+    (alpha_i|alpha_i)(<beta, alpha_i^vee> + 1)) from its parent, and each
+    layer is sorted by coefficients once it is complete.  A coefficient
+    whose root-string probes would leave the code window, where codes
+    alias, is refused before its code is probed.
     """
-    top = max(abs(c) for r in roots for c in r)
-    if _CODE_REACH * top >= 1 << (_CODE_SHIFT - 1):
-        raise CartanError(f"root coefficient {top} is outside the root-code window")
-    return tuple(sum(c << (_CODE_SHIFT * i) for i, c in enumerate(r)) for r in roots)
+    rank = len(cartan)
+    cols = tuple(zip(*cartan))  # cols[i][j] = <alpha_i, alpha_j^vee>
+    steps = tuple(1 << (_CODE_SHIFT * i) for i in range(rank))
+    window = 1 << (_CODE_SHIFT - 1)
+    layer = sorted((tuple(int(j == i) for j in range(rank)), steps[i], 1, cols[i], norms2[i])
+                   for i in range(rank))
+    out = []
+    known = set()
+    while layer:
+        out += layer
+        known.update(e[1] for e in layer)
+        nxt = {}
+        for r, c, h, p, n in layer:
+            for i, step in enumerate(steps):
+                # q = how far the string continues downward from r
+                q = 0
+                probe = c - step
+                while probe in known:
+                    q += 1
+                    probe -= step
+                if q > p[i]:
+                    top = r[i] + 1
+                    if _CODE_REACH * top >= window:
+                        raise CartanError(f"root coefficient {top} is outside "
+                                          "the root-code window")
+                    up = c + step
+                    if up not in nxt:
+                        nxt[up] = (r[:i] + (top,) + r[i + 1:], up, h + 1,
+                                   tuple(map(add, p, cols[i])), n + norms2[i] * (p[i] + 1))
+        layer = sorted(nxt.values())
+    return out
+
+
+def _negate(v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, v))
+
+
+def _mirror(positive, negate=None) -> tuple:
+    """A table of every root from the table of the positive roots, for roots
+    ordered by (height, coefficients): root k is -root(nroots - 1 - k), so
+    the negative half is the positive half reversed, each entry negated by
+    ``negate``, or kept when the entry is the same for -b and b."""
+    first = reversed(positive) if negate is None else map(negate, reversed(positive))
+    return (*first, *positive)
 
 
 def _connected(m) -> bool:
@@ -242,7 +299,11 @@ class RootSystem:
 
     Immutable after construction.  Roots are indexed into a single list
     sorted by (height, lexicographic coefficients), so negative roots
-    occupy the first half and positive roots the second half.  ``code``
+    occupy the first half and positive roots the second half.  The
+    positive half comes from one height-ordered closure
+    (``_positive_roots``); the negative half is its mirror, root k being
+    -root(nroots - 1 - k), so ``neg[k] = nroots - 1 - k`` and the highest
+    root is the last.  ``code``
     holds each root's integer code and ``code_index`` maps codes back to
     indices.  Most tables are built with the system; ``index``,
     ``coset_chain``, ``packed_pairing``, ``packed_heights``, the sign
@@ -262,34 +323,11 @@ class RootSystem:
                 if norms2[i] * cartan[i][j] != norms2[j] * cartan[j][i]:
                     raise CartanError("norms do not symmetrize the Cartan matrix")
 
-        pos = _close_positive_roots(cartan, self.rank)
-        allroots = sorted(pos | {tuple(-c for c in r) for r in pos},
-                          key=lambda r: (sum(r), r))
-        self.roots: tuple[tuple[int, ...], ...] = tuple(allroots)
-        self.nroots = len(allroots)
-        self.npos = len(pos)
-        if self.nroots != 2 * self.npos:
-            raise CartanError("root negation is not an involution")
-
-        self.code = code = _root_codes(allroots)
-        self.code_index = cindex = {c: k for k, c in enumerate(code)}
-
-        # root permutations: one byte per root index when they fit a byte
-        as_perm = bytes if self.nroots <= 256 else tuple
-        self.identity_perm = as_perm(range(self.nroots))
-        self.heights = tuple(sum(r) for r in self.roots)
-        self.neg = tuple(cindex[-c] for c in code)
-
-        # pairing with simple coroots: psc[k][i] = <root_k, alpha_i^vee>
-        self._psc = psc = tuple(tuple(sum(map(mul, r, row)) for row in cartan)
-                                for r in self.roots)
-        # 2(r|r) = sum_i r_i * (alpha_i|alpha_i) * <r, alpha_i^vee>, an even integer
-        self.norms2 = tuple(sum(x * n * y for x, n, y in zip(r, norms2, p)) // 2
-                            for r, p in zip(self.roots, psc))
-
+        # psc[k][i] = <root_k, alpha_i^vee>, the pairing with the simple coroots
+        roots, codes, heights, psc, norms = zip(*_positive_roots(cartan, norms2))
         # coroot coordinates: b^vee = sum_j b_j (alpha_j|alpha_j) / (b|b) alpha_j^vee
         coroots = []
-        for r, nb in zip(self.roots, self.norms2):
+        for r, nb in zip(roots, norms):
             co = []
             for x in map(mul, r, norms2):
                 c, rem = divmod(x, nb)
@@ -297,15 +335,34 @@ class RootSystem:
                     raise CartanError("non-integral coroot coordinate")
                 co.append(c)
             coroots.append(tuple(co))
-        self.coroots = tuple(coroots)
-        # coroot of root k mod 2 as an int: bit i is its alpha_i^vee coefficient mod 2
-        self.coroot_masks = tuple(sum((c & 1) << i for i, c in enumerate(co))
-                                  for co in coroots)
+        # coroot of a root mod 2 as an int: bit i is its alpha_i^vee coefficient mod 2
+        masks = [sum((c & 1) << i for i, c in enumerate(co)) for co in coroots]
 
-        hi = max(range(self.nroots), key=lambda k: (self.heights[k], self.roots[k]))
-        self.highest_root = hi
+        # the negative roots mirror the positive ones: root k is -root(nroots - 1 - k)
+        self.roots: tuple[tuple[int, ...], ...] = _mirror(roots, _negate)
+        self.npos = npos = len(roots)
+        self.nroots = nroots = 2 * npos
+        self.neg = tuple(range(nroots - 1, -1, -1))
+        self.code = code = _mirror(codes, neg)
+        self.code_index = cindex = dict(zip(code, range(nroots)))
+        self.heights = _mirror(heights, neg)
+        self._psc = psc = _mirror(psc, _negate)
+        self.norms2 = _mirror(norms)
+        self.coroots = _mirror(coroots, _negate)
+        self.coroot_masks = _mirror(masks)
+        keys = tuple(zip(self.heights, self.roots))
+        if not all(map(lt, keys, keys[1:])):
+            raise CartanError("roots are not strictly increasing in (height, coefficients)")
+        if any(cindex.get(-c) != k for k, c in zip(self.neg, code)):
+            raise CartanError("root codes do not mirror under negation")
+
+        # root permutations: one byte per root index when they fit a byte
+        as_perm = bytes if nroots <= 256 else tuple
+        self.identity_perm = as_perm(range(nroots))
+
+        self.highest_root = hi = nroots - 1
         self.coxeter_number = self.heights[hi] + 1
-        if self.nroots != self.rank * self.coxeter_number:
+        if nroots != self.rank * self.coxeter_number:
             raise CartanError("root count disagrees with Coxeter number")
 
         self.rho_check_twice = self.coroot_sum(self.positive_indices())
@@ -480,36 +537,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.datum.type_label}{self.rank})"
-
-
-def _close_positive_roots(cartan, rank) -> set[tuple[int, ...]]:
-    """Breadth-first closure of the simple roots under root-string addition."""
-    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    pos = set(simples)
-    layer = list(simples)
-    while layer:
-        nxt = []
-        for r in layer:
-            for i in range(rank):
-                # q = how far the string continues downward from r
-                q = 0
-                probe = list(r)
-                while True:
-                    probe[i] -= 1
-                    if tuple(probe) in pos:
-                        q += 1
-                    else:
-                        break
-                pair = sum(r[j] * cartan[i][j] for j in range(rank))
-                if q - pair >= 1:
-                    up = list(r)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in pos:
-                        pos.add(t)
-                        nxt.append(t)
-        layer = nxt
-    return pos
 
 
 def root_system(type_label: str, rank: int) -> RootSystem:

@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from weylrep import chevalley, intmat
-from weylrep.rootsys import _norms2, root_system
+from weylrep.rootsys import (
+    _CODE_REACH,
+    _CODE_SHIFT,
+    CartanError,
+    _norms2,
+    cartan_datum,
+    root_system,
+)
 
 
 @pytest.fixture
@@ -54,6 +61,110 @@ def get_scalars(get_rs):
         return cache[key]
 
     return get
+
+
+# -- the tuple route to a root system, a test oracle ----------------------
+#
+# Each table the way ``RootSystem`` built it before the closure ran over
+# root codes: a closure over coordinate tuples, one sort of all roots by
+# (height, coefficients), and every table recomputed root by root.
+
+
+def _close_positive_roots(cartan, rank) -> set[tuple[int, ...]]:
+    """Breadth-first closure of the simple roots under root-string addition."""
+    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    pos = set(simples)
+    layer = list(simples)
+    while layer:
+        nxt = []
+        for r in layer:
+            for i in range(rank):
+                # q = how far the string continues downward from r
+                q = 0
+                probe = list(r)
+                while True:
+                    probe[i] -= 1
+                    if tuple(probe) in pos:
+                        q += 1
+                    else:
+                        break
+                pair = sum(r[j] * cartan[i][j] for j in range(rank))
+                if q - pair >= 1:
+                    up = list(r)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in pos:
+                        pos.add(t)
+                        nxt.append(t)
+        layer = nxt
+    return pos
+
+
+def _root_codes(roots) -> tuple[int, ...]:
+    """sum_i c_i * 128^i for each coordinate tuple, one code per root,
+    refusing coefficients whose root-string probes leave (-64, 64)."""
+    top = max(abs(c) for r in roots for c in r)
+    if _CODE_REACH * top >= 1 << (_CODE_SHIFT - 1):
+        raise CartanError(f"root coefficient {top} is outside the root-code window")
+    return tuple(sum(c << (_CODE_SHIFT * i) for i, c in enumerate(r)) for r in roots)
+
+
+def _reference_tables(label, rank) -> dict:
+    """Every data attribute of ``root_system(label, rank)`` by the tuple
+    route, keyed by attribute name; ``simple_getters``, which are
+    functions, are left out."""
+    datum = cartan_datum(label, rank)
+    cartan = datum.cartan_matrix
+    simple_norms = _norms2(label, rank)
+    pos = _close_positive_roots(cartan, rank)
+    roots = tuple(sorted(pos | {tuple(-c for c in r) for r in pos},
+                         key=lambda r: (sum(r), r)))
+    nroots = len(roots)
+    code = _root_codes(roots)
+    cindex = {c: k for k, c in enumerate(code)}
+    heights = tuple(sum(r) for r in roots)
+    psc = tuple(tuple(sum(map(mul, r, row)) for row in cartan) for r in roots)
+    norms2 = tuple(sum(x * n * y for x, n, y in zip(r, simple_norms, p)) // 2
+                   for r, p in zip(roots, psc))
+    coroots = []
+    for r, nb in zip(roots, norms2):
+        assert all(x % nb == 0 for x in map(mul, r, simple_norms))
+        coroots.append(tuple(x // nb for x in map(mul, r, simple_norms)))
+    coroots = tuple(coroots)
+    as_perm = bytes if nroots <= 256 else tuple
+    steps = [1 << (_CODE_SHIFT * i) for i in range(rank)]
+    hi = max(range(nroots), key=lambda k: (heights[k], roots[k]))
+    return {
+        "cartan_det": datum.validate(),
+        "datum": datum,
+        "rank": rank,
+        "roots": roots,
+        "nroots": nroots,
+        "npos": len(pos),
+        "code": code,
+        "code_index": cindex,
+        "identity_perm": as_perm(range(nroots)),
+        "heights": heights,
+        "neg": tuple(cindex[-c] for c in code),
+        "_psc": psc,
+        "norms2": norms2,
+        "coroots": coroots,
+        "coroot_masks": tuple(sum((c & 1) << i for i, c in enumerate(co))
+                              for co in coroots),
+        "highest_root": hi,
+        "coxeter_number": heights[hi] + 1,
+        "rho_check_twice": tuple(map(sum, zip(*coroots[len(pos):]))),
+        "simple_index": tuple(cindex[s] for s in steps),
+        "simple_perms": tuple(as_perm(cindex[c - p[i] * s] for c, p in zip(code, psc))
+                              for i, s in enumerate(steps)),
+    }
+
+
+@pytest.fixture(scope="session")
+def reference_tables():
+    """``reference_tables(label, rank)``, the tuple-route oracle for every
+    data attribute of a ``RootSystem``."""
+    return _reference_tables
 
 
 # -- the Fraction Gram form, a test oracle -----------------------------

@@ -299,6 +299,7 @@ def test_second_difference_matches_the_table_oracle(label, rank, get_rs):
         datum = sigma_rs(om)
         part = datum.parts[2]
         s = rs.coroot_sum(part)
+        assert datum.flip_coroot_sum == s
         w, c = om.sigma, datum.fiber_sizes[2]
         for a in range(rs.nroots):
             fw = sum(rs.pairing[a][b] for b in part)
@@ -309,6 +310,19 @@ def test_second_difference_matches_the_table_oracle(label, rank, get_rs):
                                   + rs.heights[w2a])
             assert check_second_difference(datum, a)
     assert found >= 1
+
+
+def test_second_difference_reads_the_stored_coroot_sum(monkeypatch, get_rs):
+    """``sigma_rs`` sums the (1,0)-part coroots once per datum; the check
+    itself, run at every root, sums no coroots."""
+    rs = get_rs("E", 6)
+    datum = sigma_rs(next(om for om in omega_group(rs) if om.order() >= 3))
+
+    def refused(self, roots):
+        raise AssertionError("coroot_sum called per root")
+
+    monkeypatch.setattr(type(rs), "coroot_sum", refused)
+    assert all(check_second_difference(datum, a) for a in range(rs.nroots))
 
 
 def test_second_difference_at_r_gives_even_value(get_rs):

@@ -33,7 +33,8 @@ RECORDS = [
     (SigmaRSDatum, {"w": W, "r_root": 3, "s_root": 4,
                     "parts": (frozenset(), frozenset({4}), frozenset({3}),
                               frozenset({5})),
-                    "triples": ((4, 3, 5),), "fiber_sizes": (1, 1, 1)}),
+                    "triples": ((4, 3, 5),), "fiber_sizes": (1, 1, 1),
+                    "flip_coroot_sum": (0, 1)}),
     (StructureConstantTable, {"rs": RS, "convention_id": "extraspecial",
                               "n": {(3, 4): 1}}),
     (ScalarTable, {"rs": RS, "convention_id": "extraspecial",

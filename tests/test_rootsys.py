@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from functools import cached_property
 from operator import add, sub
 
 import pytest
@@ -291,10 +292,20 @@ def test_json_is_serializable(get_rs):
     assert len(doc["roots"]) == 72
 
 
+LAZY_TABLES = {"index", "pairing", "coset_chain", "packed_pairing",
+               "packed_heights", "positive_table"}
+
+
 @pytest.mark.parametrize("label,rank", [("D", 6), ("E", 7), ("E", 8)])
 def test_pairing_table_is_built_on_first_use(label, rank):
+    """No ``cached_property`` of ``RootSystem`` is built with the system,
+    so none of that work lands in a build's time; the pairing table is
+    built when ``rootsys_to_json`` reads it."""
+    lazy = {name for name, attr in vars(RootSystem).items()
+            if isinstance(attr, cached_property)}
+    assert lazy == LAZY_TABLES
     rs = root_system(label, rank)
-    assert "pairing" not in rs.__dict__
+    assert not lazy & rs.__dict__.keys()
     assert rootsys_to_json(rs)["pairing"][rs.highest_root][rs.highest_root] == 2
     assert "pairing" in rs.__dict__
 
@@ -365,15 +376,115 @@ def test_root_codes_match_the_coordinate_tuples(label, rank, get_rs):
 def test_root_codes_refuse_coefficients_past_the_window(monkeypatch):
     """Codes alias outside (-64, 64): (64, 0) and (-64, 1) share 64.  A
     largest coefficient of 12 keeps b + 4a inside; 13 must raise, and so
-    must a root system build that holds such a root."""
+    must a root system build whose closure reaches such a root.  The
+    closure of affine A1~ never ends, and coefficients grow one at a time,
+    so the window stops it at 13, after accepting 12."""
     assert 64 + 0 * 128 == -64 + 1 * 128
-    assert rootsys._root_codes([(12, -12), (0, 1)]) == (12 - 12 * 128, 128)
-    for planted in ((13, 0), (0, -13)):
-        with pytest.raises(CartanError, match="root-code window"):
-            rootsys._root_codes([(1, 0), planted])
+    affine_a1 = ((2, -2), (-2, 2))
+    with pytest.raises(CartanError, match="^root coefficient 13 is outside"):
+        rootsys._positive_roots(affine_a1, (2, 2))
 
-    closure = rootsys._close_positive_roots
-    monkeypatch.setattr(rootsys, "_close_positive_roots",
-                        lambda cartan, rank: closure(cartan, rank) | {(13, 1)})
+    # the datum passes its own checks here, so the build's closure runs on it
+    monkeypatch.setattr(rootsys.CartanDatum, "validate", lambda datum: 0)
     with pytest.raises(CartanError, match="coefficient 13 is outside the root-code window"):
-        root_system("A", 2)
+        RootSystem(CartanDatum("A", 2, affine_a1))
+
+
+# -- the height-ordered build against the tuple route ------------------------
+
+# every type up to rank 8, and the tuple layout of permutations (> 256 roots)
+REFERENCE_TYPES = TYPES_TO_RANK_8 + [("A", 16), ("A", 20), ("B", 12), ("C", 12),
+                                     ("D", 12)]
+
+
+@pytest.mark.parametrize("label,rank", REFERENCE_TYPES)
+def test_every_table_matches_the_tuple_route(label, rank, reference_tables):
+    """Each attribute of the one-pass build equals, in value and type, the
+    closure over tuples with one sort and per-root formulas; the
+    ``simple_getters`` compose the ``simple_perms`` on the right."""
+    rs = root_system(label, rank)
+    ref = reference_tables(label, rank)
+    built = dict(vars(rs))
+    getters = built.pop("simple_getters")
+    assert built.keys() == ref.keys()
+    for name, value in ref.items():
+        assert built[name] == value, name
+        assert type(built[name]) is type(value), name
+    assert [get(rs.identity_perm) for get in getters] == list(rs.simple_perms)
+    assert rs.neg == tuple(rs.nroots - 1 - k for k in range(rs.nroots))
+
+
+# -- a planted input for each message a build raises --------------------------
+
+
+def _plant(monkeypatch, fault):
+    """Hand the build's closure output through ``fault``, a list of
+    ``(coefficients, code, height, pairing, norm)`` entries in, a list out."""
+    closure = rootsys._positive_roots
+    monkeypatch.setattr(rootsys, "_positive_roots",
+                        lambda cartan, norms2: fault(list(closure(cartan, norms2))))
+
+
+def _swap_first_two(entries):
+    entries[0], entries[1] = entries[1], entries[0]
+    return entries
+
+
+def _alias_second_code(entries):
+    """The second simple root carries the first one's code."""
+    r, _, h, p, n = entries[1]
+    entries[1] = (r, entries[0][1], h, p, n)
+    return entries
+
+
+def _wrong_last_norm(entries):
+    r, c, h, p, _ = entries[-1]
+    entries[-1] = (r, c, h, p, 3)
+    return entries
+
+
+def _wrong_last_pairing(entries):
+    r, c, h, p, n = entries[-1]
+    entries[-1] = (r, c, h, (p[0] + 1, *p[1:]), n)
+    return entries
+
+
+A2 = ((2, -1), (-1, 2))
+
+PLANTED = [
+    ("unknown type label 'H'", None, lambda: root_system("H", 3)),
+    ("rank 9 out of range for type E", None, lambda: root_system("E", 9)),
+    ("matrix shape does not match rank", None,
+     lambda: RootSystem(CartanDatum("A", 2, ((2, -1),)))),
+    ("diagonal entries must be 2", None,
+     lambda: RootSystem(CartanDatum("A", 2, ((2, -1), (-1, 3))))),
+    ("off-diagonal entry -4 out of range", None,
+     lambda: RootSystem(CartanDatum("A", 2, ((2, -4), (-1, 2))))),
+    ("zero pattern must be symmetric", None,
+     lambda: RootSystem(CartanDatum("A", 2, ((2, 0), (-1, 2))))),
+    ("Cartan matrix is reducible", None,
+     lambda: RootSystem(CartanDatum("A", 2, ((2, 0), (0, 2))))),
+    ("Cartan matrix is not positive definite", None,
+     lambda: RootSystem(CartanDatum("A", 2, ((2, -2), (-2, 2))))),
+    # B2 norms (2, 1) on the symmetric A2 matrix
+    ("norms do not symmetrize the Cartan matrix", None,
+     lambda: RootSystem(CartanDatum("B", 2, A2))),
+    ("non-integral coroot coordinate", _wrong_last_norm, lambda: root_system("A", 2)),
+    (r"roots are not strictly increasing in \(height, coefficients\)", _swap_first_two,
+     lambda: root_system("A", 2)),
+    ("root codes do not mirror under negation", _alias_second_code,
+     lambda: root_system("A", 2)),
+    # A3 without its highest root: 10 roots, Coxeter number 3
+    ("root count disagrees with Coxeter number", lambda entries: entries[:-1],
+     lambda: root_system("A", 3)),
+    ("height/rho-check identity failed", _wrong_last_pairing, lambda: root_system("A", 2)),
+]
+
+
+@pytest.mark.parametrize("message, fault, build", PLANTED,
+                         ids=[m.replace("\\", "") for m, _, _ in PLANTED])
+def test_each_build_check_refuses_its_planted_input(message, fault, build, monkeypatch):
+    if fault is not None:
+        _plant(monkeypatch, fault)
+    with pytest.raises(CartanError, match=f"^{message}$"):
+        build()
