@@ -9,10 +9,10 @@ cocharacter lattice holds the Smith form of its pairing matrix and one
 prepared solver per n).  ``solve_mod`` takes the prepared solver and a
 right side, and still checks every solution it returns against the
 original matrix.  ``hermite_row_basis`` gives the canonical basis that
-cocharacter lattices are stored in.  The rational helpers ``mat_mul``,
-``mat_det`` and ``mat_inv`` are not exported: nothing in the package
-calls them, and the tests use them as the ``Fraction`` oracle, so
-``fractions`` is imported inside them and not with the package.
+cocharacter lattices are stored in.  The rational ``mat_inv`` is not
+exported: nothing in the package calls it, and the tests use it as the
+``Fraction`` oracle, so ``fractions`` is imported inside it and not with
+the package.
 """
 
 from __future__ import annotations
@@ -225,34 +225,6 @@ def hermite_row_basis(rows):
             if f:
                 basis[k] = [x - f * y for x, y in zip(basis[k], basis[i])]
     return [list(r) for r in basis]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
-def mat_det(m):
-    """Exact determinant, as a Fraction."""
-    # imported here so that importing the package skips ``fractions``
-    from fractions import Fraction
-    m = [[Fraction(x) for x in row] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
 
 
 def mat_inv(m):

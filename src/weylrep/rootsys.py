@@ -34,7 +34,6 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import cached_property
 from operator import add, itemgetter, lt, mul, neg
-from struct import calcsize
 
 __all__ = [
     "CartanError",
@@ -451,28 +450,26 @@ class RootSystem:
         return tuple(levels)
 
     @cached_property
-    def packed_pairing(self) -> tuple[str, int, tuple[int, ...], int, tuple[int, ...]]:
-        """``(fmt, nbytes, limits, bias, columns)``: field a of ``columns[i]``
-        holds <root_a, alpha_i^vee> as a signed ``fmt`` int, so field a of
-        sum_i s_i * columns[i] is <root_a, s>.  Adding ``bias`` (the top bit
-        of every field) stops borrows between fields; XOR with it gives two's
-        complement fields for ``memoryview.cast(fmt)``.  An inversion-set sum
-        has 0 <= s_i <= (2 rho^vee)_i, so the field holds 4 times the bound
-        max_a sum_i |<root_a, alpha_i^vee>| (2 rho^vee)_i, and every field is
-        exact while each |s_i| <= ``limits[i]``.  Built on first use.
+    def packed_pairing(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """``(nbytes, limits, columns)``: field a of ``columns[i]`` holds
+        <root_a, alpha_i^vee> as a signed base-B digit, B = 2^width, so
+        field a of sum_i s_i * columns[i] is <root_a, s>, an int of
+        ``nbytes`` bytes.  An inversion-set sum has 0 <= s_i <=
+        (2 rho^vee)_i, so the width is the first of 8, 16, 32 and 64 bits
+        whose half range B/2 holds 4 times the bound
+        max_a sum_i |<root_a, alpha_i^vee>| (2 rho^vee)_i, and every field
+        is exact while each |s_i| <= ``limits[i]``.  Built on first use.
         """
         bound = max(sum(abs(c) * r for c, r in zip(row, self.rho_check_twice))
                     for row in self._psc)
-        for fmt in "bhiq":
-            width = 8 * calcsize(fmt)
+        for width in (8, 16, 32, 64):
             headroom = (2 ** (width - 1) - 1) // bound
             if headroom >= 4:
                 break
-        bias = sum(1 << (width * a + width - 1) for a in range(self.nroots))
         columns = tuple(sum(row[i] << (width * a) for a, row in enumerate(self._psc))
                         for i in range(self.rank))
         limits = tuple(headroom * r for r in self.rho_check_twice)
-        return fmt, self.nroots * width // 8, limits, bias, columns
+        return self.nroots * width // 8, limits, columns
 
     @cached_property
     def packed_heights(self) -> tuple[tuple[bytes, ...], int, tuple[bool, ...],
@@ -494,7 +491,7 @@ class RootSystem:
         gives the low byte of every field of R in order and every other
         byte is zero; it is None for tuples.  Built on first use.
         """
-        nbytes = self.packed_pairing[1] // self.nroots
+        nbytes = self.packed_pairing[0] // self.nroots
         off = max(self.heights)
         if 4 * 2 * off >= 2 ** (8 * nbytes - 1):
             raise AssertionError(f"height drops up to {2 * off} are past the "
@@ -512,7 +509,7 @@ class RootSystem:
         table writes the low byte of each field into zeros."""
         fields, _, _, table = self.packed_heights
         if type(perm) is bytes:
-            right = bytearray(self.packed_pairing[1])
+            right = bytearray(self.packed_pairing[0])
             right[::len(fields[0])] = perm.translate(table)
         else:
             right = b"".join(itemgetter(*perm)(fields))
@@ -528,9 +525,6 @@ class RootSystem:
 
     def positive_indices(self) -> range:
         return range(self.npos, self.nroots)
-
-    def is_positive(self, k: int) -> bool:
-        return k >= self.npos
 
     def root_name(self, k: int) -> str:
         return "".join(str(c) for c in self.roots[k])

@@ -29,14 +29,14 @@ on its first check with one integer comparison: that product plus the
 height fields joined in the order of ``perm`` (``RootSystem.packed_heights``)
 equals the fields joined in root order exactly when every root holds,
 since no field of either side reaches half the field's range.  Only an
-element that fails builds its per-root verdict list.
+element that fails builds its per-root verdict list, one dot product
+with S(w) per root.
 
 ``iter_group`` walks W depth-first as a tree in which every element but
 the identity has one parent, w s_j for the smallest right descent j of w,
 so it makes each element once and holds one path of the tree; an
-exhaustive sweep reads it element by element.  ``enumerate_group`` lists
-W in breadth-first order by length, the order the exhaustive pair sweeps
-follow.
+exhaustive sweep reads it element by element, and ``enumerate_group``,
+which the exhaustive pair sweeps read, lists it in the same order.
 
 Sampling is uniform by construction.  ``unrank`` is a bijection from
 [0, |W|) onto W: it reads an index's mixed-radix digits as one minimal
@@ -53,8 +53,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import compress
 from math import factorial
-from operator import eq, itemgetter, le, mul, sub
-from sys import byteorder
+from operator import itemgetter, le, mul, sub
 
 from .rootsys import RootSystem, compose, invert, lookup
 
@@ -112,10 +111,6 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(self.rs, compose(self.perm, other.perm))
-
-    def apply_simple(self, i: int) -> int:
-        """Image root index of alpha_i (1-based)."""
-        return self.perm[self.rs.simple_index[i - 1]]
 
     def inverse(self) -> "WeylElement":
         return WeylElement(self.rs, invert(self.perm))
@@ -281,19 +276,21 @@ def _packed_pairings(w: WeylElement) -> int:
     is exact raises ``AssertionError``, so no field aliases into its
     neighbour."""
     s = w.coroot_sum
-    _, _, limits, _, columns = w.rs.packed_pairing
+    _, limits, columns = w.rs.packed_pairing
     if not all(map(le, map(abs, s), limits)):
         raise AssertionError(f"coroot sum {s} is past the packed range")
     return sum(map(mul, s, columns))
 
 
-def _pairing_vector(w: WeylElement) -> list[int]:
-    """L[a] = <root_a, S(w)> for every root a: ``_packed_pairings`` plus the
-    bias (the top bit of every field, so no field borrows from the next),
-    XORed with it, read as two's complement fields."""
-    fmt, nbytes, _, bias, _ = w.rs.packed_pairing
-    packed = (_packed_pairings(w) + bias) ^ bias
-    return memoryview(packed.to_bytes(nbytes, byteorder)).cast(fmt).tolist()
+def _root_verdicts(w: WeylElement) -> list[bool]:
+    """Per-root verdicts: <root_a, S(w)> as one dot product per root against
+    the height drop ht(a) - ht(w(a)).  A helper of its own, so that S is
+    not a cell variable of ``check_first_difference``."""
+    rs = w.rs
+    s = w.coroot_sum
+    heights = rs.heights
+    drops = map(sub, heights, itemgetter(*w.perm)(heights))
+    return [sum(map(mul, row, s)) == d for row, d in zip(rs._psc, drops)]
 
 
 def check_first_difference(w: WeylElement, a: int) -> bool:
@@ -311,8 +308,8 @@ def check_first_difference(w: WeylElement, a: int) -> bool:
     of T - R is under B/2 in size (the range check and the build's digit
     bound), so the sum is T exactly when every root's two sides agree.  A
     passing element keeps the system's shared all-True verdicts; any
-    other compares ``_pairing_vector`` with the height drops root by
-    root.  Later calls index the verdicts kept on the element.
+    other takes them from ``_root_verdicts``, one dot product per root.
+    Later calls index the verdicts kept on the element.
     """
     verdicts = w._verdicts
     if verdicts is None:
@@ -321,9 +318,7 @@ def check_first_difference(w: WeylElement, a: int) -> bool:
         if _packed_pairings(w) + rs.packed_heights_of(w.perm) == target:
             verdicts = passing
         else:
-            heights = rs.heights
-            drops = map(sub, heights, itemgetter(*w.perm)(heights))
-            verdicts = list(map(eq, _pairing_vector(w), drops))
+            verdicts = _root_verdicts(w)
         w._verdicts = verdicts
     return verdicts[a]
 
@@ -422,23 +417,8 @@ def _earlier_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 
 
 def enumerate_group(rs: RootSystem) -> list[WeylElement]:
-    """All elements in a list, breadth-first by length; deterministic order.
-
-    Level l + 1 is built from level l alone: p s_i is composed only when
-    p(alpha_i) > 0, the moves that make p longer (Humphreys, *Reflection
-    Groups and Coxeter Groups*, §1.6-1.7), and each new element keeps the
-    place where it is first reached.  The order is that of a breadth-first
-    search over all moves with one global ``seen`` set, since an element
-    of length l + 1 is reached only from level l.
-    """
-    npos = rs.npos
-    moves = tuple(zip(rs.simple_index, rs.simple_getters))
-    group, level = [], [rs.identity_perm]
-    while level:
-        group += [WeylElement(rs, p) for p in level]
-        level = list(dict.fromkeys(step(p) for p in level for a, step in moves
-                                   if p[a] >= npos))
-    return group
+    """All elements in a list, in ``iter_group`` order."""
+    return list(iter_group(rs))
 
 
 def unrank(rs: RootSystem, n: int) -> WeylElement:

@@ -227,6 +227,36 @@ def per_row_solve_mod():
 
 # -- the Fraction route to the cocharacter lattices, a test oracle --------
 #
+# Rational matrix helpers, the tests' ``Fraction`` oracle; ``intmat``
+# keeps only ``mat_inv``, which the benchmark traces.
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def mat_det(m):
+    """Exact determinant, as a Fraction."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
 # Each lattice the way it was built before lattices were integer: a
 # Fraction basis in simple-coroot coordinates, kept with its inverse.
 # ``affine`` now holds the Hermite rows in fundamental-coweight
@@ -244,13 +274,13 @@ class FractionLattice:
 
     def contains(self, vec) -> bool:
         """Membership of a rational coweight in simple-coroot coordinates."""
-        coords = intmat.mat_mul([list(vec)], self.basis_inv)[0]
+        coords = mat_mul([list(vec)], self.basis_inv)[0]
         return all(Fraction(c).denominator == 1 for c in coords)
 
 
 def _fraction_lattice(rs, name, rows):
     basis = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    det = intmat.mat_det(basis)
+    det = mat_det(basis)
     if det == 0:
         raise ValueError("lattice basis is singular")
     index = Fraction(1) / abs(det)
@@ -259,7 +289,7 @@ def _fraction_lattice(rs, name, rows):
     binv = tuple(map(tuple, intmat.mat_inv(basis)))
     if any(Fraction(x).denominator != 1 for row in binv for x in row):
         raise ValueError(f"{name}: coroot lattice not contained")
-    pairing = [list(col) for col in zip(*intmat.mat_mul(basis, rs.datum.cartan_matrix))]
+    pairing = [list(col) for col in zip(*mat_mul(basis, rs.datum.cartan_matrix))]
     if any(x.denominator != 1 for row in pairing for x in row):
         raise ValueError(f"{name}: not contained in the coweight lattice")
     pairing = tuple(tuple(int(x) for x in row) for row in pairing)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mat_mul
 from weylrep import affine, intmat, weyl
 from weylrep.affine import (
     all_lattices,
@@ -72,7 +73,7 @@ def test_all_lattices_are_pairwise_distinct(label, rank, get_rs,
     cw = intmat.mat_inv(cartan)  # fundamental coweights, simple-coroot coords
     group = omega_group(rs)
     for lat, old in zip(lats, olds):
-        mapped = [[int(x) for x in row] for row in intmat.mat_mul(old.basis, cartan)]
+        mapped = [[int(x) for x in row] for row in mat_mul(old.basis, cartan)]
         assert intmat.hermite_row_basis(mapped) == [list(row) for row in lat.basis]
         assert lat.index_in_coroot == old.index_in_coroot
         assert [om.class_node for om in lattice_classes(lat, group)] == \
@@ -128,7 +129,7 @@ def test_lattices_hold_their_inverse_basis(label, rank, get_rs,
         assert intmat.hermite_row_basis(lat.basis) == [list(r) for r in lat.basis]
         assert all(x.denominator == 1 for row in old.basis_inv for x in row)
         assert all(affine.lattice_contains(lat, row) for row in cartan)
-        for row in intmat.mat_mul(old.basis, cartan):
+        for row in mat_mul(old.basis, cartan):
             assert affine.lattice_contains(lat, [int(x) for x in row])
         assert [affine.lattice_contains(lat, e) for e in units] == \
             [old.contains(row) for row in cw]

@@ -74,10 +74,10 @@ def test_module_does_not_import_fractions(module):
 # time in every sweep, so it fails here first.
 START_UP_MODULES = {
     "__future__", "_bisect", "_collections", "_collections_abc", "_functools",
-    "_json", "_operator", "_random", "_sha512", "_sre", "_stat", "_struct",
+    "_json", "_operator", "_random", "_sha512", "_sre", "_stat",
     "argparse", "bisect", "collections", "copyreg", "enum", "functools",
     "genericpath", "gettext", "itertools", "json", "keyword", "math",
-    "operator", "os", "posixpath", "random", "re", "reprlib", "stat", "struct",
+    "operator", "os", "posixpath", "random", "re", "reprlib", "stat",
     "types", "warnings", "weylrep",
 }
 

@@ -384,7 +384,7 @@ def test_signed_perm_matches_dense_composition(get_rs, get_scalars):
     for i in range(rs.rank):
         mats.append(dense(_ad_n_columns(table, i), dim))
     rng = random.Random(8)
-    from weylrep.intmat import mat_mul
+    from conftest import mat_mul
     for _ in range(20):
         word = [rng.randrange(1, rs.rank + 1) for _ in range(6)]
         w = weyl.from_word(rs, word)

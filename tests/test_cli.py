@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 import weakref
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -533,7 +534,9 @@ def _one_check_config(systems, **checks):
 # Each fault is planted in the function a check relies on; the expected
 # entries were recorded before the checks returned their outcomes.  The
 # first-difference witness is the third element of the descent tree's
-# depth-first order, s_1 s_2 (the breadth-first order had s_2 there).
+# depth-first order, s_1 s_2 (the breadth-first order had s_2 there), and
+# the cocycle pairs follow the same order (breadth-first, the 20th pair
+# was (s_2, s_1 s_2)).
 @pytest.mark.parametrize("module, name, nth, outcome, entry", [
     (weyl, "check_first_difference", 30, False,
      {"name": "first_difference", "system": "A3", "mode": "exhaustive",
@@ -541,7 +544,7 @@ def _one_check_config(systems, **checks):
       "counterexample": {"word": [1, 2], "root": [0, 0, -1]}}),
     (tits, "check_cocycle_formula", 20, False,
      {"name": "cocycle", "system": "B2", "mode": "exhaustive", "count": 20,
-      "passed": False, "counterexample": {"u_word": [2], "v_word": [1, 2]}}),
+      "passed": False, "counterexample": {"u_word": [1, 2], "v_word": [1, 2, 1]}}),
     (affine, "check_second_difference", 5, False,
      {"name": "second_difference", "system": "A3", "mode": "exhaustive",
       "count": 6, "passed": False,
@@ -651,10 +654,11 @@ def test_coroot_sum_route_is_load_bearing(monkeypatch, system):
 
 
 def _per_root_first_difference(w, a):
-    """The route before the packed comparison: the pairing vector against
-    one height drop."""
-    heights = w.rs.heights
-    return weyl._pairing_vector(w)[a] == heights[a] - heights[w.perm[a]]
+    """The route before the packed comparison: one dot product against one
+    height drop."""
+    rs = w.rs
+    return sum(map(mul, rs._psc[a], w.coroot_sum)) == \
+        rs.heights[a] - rs.heights[w.perm[a]]
 
 
 def _wrong_height(rs):
@@ -745,7 +749,7 @@ def test_packed_first_difference_fails_as_the_per_root_route(monkeypatch, system
     """A wrong height, a wrong Cartan entry in the carried-S update and a
     wrong pairing with a simple coroot each fail the exhaustive sweep with
     the count and witness of the per-root route, and the packed route
-    decides the failing element with exactly one ``_pairing_vector``."""
+    decides the failing element with exactly one ``_root_verdicts``."""
     def faulted(label, rank):
         rs = root_system(label, rank)
         fault(rs)
@@ -753,7 +757,7 @@ def test_packed_first_difference_fails_as_the_per_root_route(monkeypatch, system
 
     monkeypatch.setattr(cli, "root_system", faulted)
     cfg = _one_check_config([system], first_difference=True)
-    vectors = _count_calls(monkeypatch, weyl, "_pairing_vector")
+    vectors = _count_calls(monkeypatch, weyl, "_root_verdicts")
     (packed,) = run_sweep(cfg)["checks"]
     assert packed["mode"] == "exhaustive" and not packed["passed"]
     assert len(vectors) == 1
@@ -763,7 +767,8 @@ def test_packed_first_difference_fails_as_the_per_root_route(monkeypatch, system
 
 
 def test_passing_sweep_builds_no_pairing_vector(monkeypatch):
-    vectors = _count_calls(monkeypatch, weyl, "_pairing_vector")
+    """No element of a passing sweep builds per-root verdicts."""
+    vectors = _count_calls(monkeypatch, weyl, "_root_verdicts")
     (entry,) = run_sweep(_one_check_config(["D5"], first_difference=True))["checks"]
     assert entry["passed"] and entry["count"] == 1920 * 40
     assert vectors == []

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from conftest import mat_mul
 from weylrep import affine, cli, intmat
 from weylrep.affine import (
     adjoint_lattice,
@@ -231,7 +232,7 @@ def test_connecting_character_brute_force_image(get_rs, get_fraction_lattices):
         if modulus == 1:
             continue
         # map small-basis points into big coordinates
-        phi = intmat.mat_mul([list(r) for r in old_small.basis], big.basis_inv)
+        phi = mat_mul([list(r) for r in old_small.basis], big.basis_inv)
         phi = [[int(x) for x in row] for row in phi]
 
         def chi_of(point):
@@ -256,7 +257,7 @@ def _adapted_basis_character(rs, small, big):
     adapted basis of the big lattice and invert its pairing matrix with
     the simple roots."""
     rank = rs.rank
-    c = intmat.mat_mul(small.basis, big.basis_inv)
+    c = mat_mul(small.basis, big.basis_inv)
     if any(Fraction(x).denominator != 1 for row in c for x in row):
         raise ValueError("small lattice is not contained in the big one")
     d_mat, _, v = intmat.smith_normal_form([[int(x) for x in row] for row in c])
@@ -267,7 +268,7 @@ def _adapted_basis_character(rs, small, big):
     if len(nontrivial) > 1:
         raise ValueError(f"quotient is not cyclic: invariant factors {diag}")
     d = nontrivial[0]
-    adapted = intmat.mat_mul(intmat.mat_inv(v), big.basis)
+    adapted = mat_mul(intmat.mat_inv(v), big.basis)
     pf = [[sum(Fraction(adapted[k][j]) * rs.datum.cartan_matrix[j][i]
                for j in range(rank)) for k in range(rank)]
           for i in range(rank)]

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mat_det, mat_mul
 from weylrep.intmat import (
     hermite_row_basis,
-    mat_det,
     mat_inv,
-    mat_mul,
     prepare_mod,
     smith_normal_form,
     solve_mod,

@@ -6,7 +6,8 @@ from operator import add, sub
 
 import pytest
 
-from weylrep import intmat, rootsys
+from conftest import mat_det
+from weylrep import rootsys
 from weylrep.rootsys import (
     CartanDatum,
     CartanError,
@@ -90,7 +91,7 @@ def test_each_build_validates_its_datum_once(label, rank, monkeypatch):
 def _minors_verdict(m):
     """The old route: positive definite iff every leading principal minor,
     each an exact ``Fraction`` determinant, is positive."""
-    return all(intmat.mat_det([row[:k] for row in m[:k]]) > 0
+    return all(mat_det([row[:k] for row in m[:k]]) > 0
                for k in range(1, len(m) + 1))
 
 
@@ -121,7 +122,7 @@ def test_bareiss_minors_give_the_old_verdict_on_every_type(label, rank):
     (((2, -1, -1), (-1, 2, -2), (-1, -2, 2)), (2, 3, -8)),
 ])
 def test_bareiss_minors_reject_what_the_old_route_rejects(m, minors):
-    assert [intmat.mat_det([row[:k] for row in m[:k]])
+    assert [mat_det([row[:k] for row in m[:k]])
             for k in (1, 2, 3)] == list(minors)
     assert not _minors_verdict(m) and not _bareiss_verdict(m)
     with pytest.raises(CartanError, match="^Cartan matrix is not positive definite$"):

@@ -45,10 +45,10 @@ def _ref_multiply(x, y):
     bits = x.bits
     for i in range(rs.rank):
         if y.bits >> i & 1:
-            bits ^= _coroot_bits(rs, x.weyl.apply_simple(i + 1))
+            bits ^= _coroot_bits(rs, x.weyl.perm[rs.simple_index[i]])
     cur = x.weyl
     for i in y.weyl.word:
-        img = cur.apply_simple(i)
+        img = cur.perm[rs.simple_index[i - 1]]
         cur = cur * weyl.simple_reflection(rs, i)
         if img < rs.npos:
             bits ^= _coroot_bits(rs, img)

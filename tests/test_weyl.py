@@ -59,11 +59,11 @@ def test_walk_roots_are_inversion_set_of_inverse(get_rs):
     for label, rank in (("A", 3), ("B", 3), ("G", 2)):
         rs = get_rs(label, rank)
         for w in enumerate_group(rs):
-            assert all(rs.is_positive(b) for b in w.walk)
+            assert all(b >= rs.npos for b in w.walk)
             assert len(w.walk) == w.length
             assert frozenset(w.walk) == inversion_set(w.inverse())
             assert w.walk == tuple(
-                from_word(rs, w.word[:k]).apply_simple(i)
+                from_word(rs, w.word[:k]).perm[rs.simple_index[i - 1]]
                 for k, i in enumerate(w.word))
 
 
@@ -73,7 +73,7 @@ def test_matrix_reproduces_perm(get_rs):
     rng = random.Random(3)
     for _ in range(25):
         w = weyl.random_element(rs, rng)
-        cols = [rs.roots[w.apply_simple(j)] for j in range(1, rs.rank + 1)]
+        cols = [rs.roots[w.perm[a]] for a in rs.simple_index]
         for k in range(rs.nroots):
             img = tuple(sum(c * col[i] for c, col in zip(rs.roots[k], cols))
                         for i in range(rs.rank))
@@ -137,7 +137,7 @@ def test_flip_functional_against_form_oracle(get_rs, form):
         acc = 0
         for b in rs.positive_indices():
             vb = v.perm[b]
-            if not rs.is_positive(vb) and rs.is_positive(u.perm[vb]):
+            if vb < rs.npos <= u.perm[vb]:
                 acc += int(2 * form(rs, a, b) / rs.norms2[b])
         assert flip_functional(u, v, a) == acc
 
@@ -380,7 +380,7 @@ def _check_chain_walk(w):
     walk of a fresh element (ROADMAP item 1; no code relies on it yet)."""
     rs = w.rs
     assert w._walk is not None
-    assert all(rs.is_positive(b) for b in w.walk)
+    assert all(b >= rs.npos for b in w.walk)
     assert len(w.walk) == w.length
     assert frozenset(w.walk) == inversion_set(w.inverse())
     assert w.walk == weyl.WeylElement(rs, w.perm).walk
@@ -472,33 +472,13 @@ def test_unrank_rejects_an_index_outside_the_group(get_rs):
                 unrank(rs, n)
 
 
-def _enumerate_group_oracle(rs):
-    """Breadth-first search over every move s_i, with one global ``seen``
-    set, composing index by index: the order of the pair sweeps."""
-    start = rs.identity_perm
-    seen = {start}
-    out = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in rs.simple_perms:
-                x = type(p)(p[k] for k in s)
-                if x not in seen:
-                    seen.add(x)
-                    out.append(x)
-                    nxt.append(x)
-        frontier = nxt
-    return out
-
-
 @pytest.mark.parametrize("label,rank", SMALL_TYPES)
 def test_enumerate_group_keeps_the_full_search_order(label, rank, get_rs):
+    """``enumerate_group`` lists ``iter_group``'s permutations in the same
+    order, so the pair sweeps' witnesses follow the descent tree too."""
     rs = get_rs(label, rank)
-    group = enumerate_group(rs)
-    assert [w.perm for w in group] == _enumerate_group_oracle(rs)
-    lengths = [w.length for w in group]
-    assert lengths == sorted(lengths)
+    assert [w.perm for w in enumerate_group(rs)] == \
+        [w.perm for w in weyl.iter_group(rs)]
 
 
 def _tree_oracle(rs):
@@ -576,7 +556,7 @@ def test_height_steps_climb_every_positive_root(label, rank, get_rs):
                  if r[i] and r[:i] + (r[i] - 1,) + r[i + 1:] in rs.index]
         assert steps
         for parent, i in steps:
-            assert rs.is_positive(parent) and parent < k
+            assert rs.npos <= parent < k
             assert rs.heights[parent] == rs.heights[k] - 1
             assert rs.roots[k] == tuple(c + (j == i)
                                         for j, c in enumerate(rs.roots[parent]))
@@ -587,13 +567,32 @@ def _dot_product_pairings(rs, s):
     return [sum(map(mul, rs._psc[a], s)) for a in range(rs.nroots)]
 
 
+def _packed_digits(rs, packed):
+    """The balanced base-B digits of a packed pairing, B = 2^width, root 0
+    first: field by field from its two's complement bytes, each digit the
+    residue in [-B/2, B/2) of the field plus the carry from below."""
+    nbytes = rs.packed_pairing[0]
+    size = nbytes // rs.nroots
+    half = 1 << (8 * size - 1)
+    raw = packed.to_bytes(nbytes, "little", signed=True)
+    digits, carry = [], 0
+    for k in range(0, nbytes, size):
+        x = int.from_bytes(raw[k:k + size], "little") + carry
+        digit = (x + half) % (2 * half) - half
+        digits.append(digit)
+        carry = (x - digit) >> (8 * size)
+    return digits
+
+
 # every type whose group the default budget sweeps in full
 @pytest.mark.parametrize("label,rank", [
     t for t in SMALL_TYPES if math.prod(_degrees(*t)) <= 10_000])
 def test_pairing_vector_matches_the_dot_product(label, rank, get_rs):
+    """Every field of the packed product is the pairing of its root."""
     rs = get_rs(label, rank)
     for w in enumerate_group(rs):
-        assert weyl._pairing_vector(w) == _dot_product_pairings(rs, w.coroot_sum)
+        assert _packed_digits(rs, weyl._packed_pairings(w)) == \
+            _dot_product_pairings(rs, w.coroot_sum)
 
 
 @pytest.mark.parametrize("label,rank", [("E", 8), ("B", 8), ("A", 20)])
@@ -602,7 +601,8 @@ def test_pairing_vector_matches_the_dot_product_on_draws(label, rank):
     rng = random.Random(f"packed-pairing/{label}{rank}")
     for _ in range(200):
         w = weyl.random_element(rs, rng)
-        assert weyl._pairing_vector(w) == _dot_product_pairings(rs, w.coroot_sum)
+        assert _packed_digits(rs, weyl._packed_pairings(w)) == \
+            _dot_product_pairings(rs, w.coroot_sum)
 
 
 def _first_difference_oracle(w):
@@ -623,7 +623,7 @@ def test_packed_field_width_comes_from_the_system(get_rs):
     widths = {}
     for label, rank in [("A", 3), ("A", 20)]:
         rs = root_system(label, rank)
-        fmt, nbytes, limits, _, columns = rs.packed_pairing
+        nbytes, limits, columns = rs.packed_pairing
         widths[label, rank] = nbytes // rs.nroots
         bound = max(sum(abs(c) * r for c, r in zip(row, rs.rho_check_twice))
                     for row in rs._psc)
@@ -644,7 +644,7 @@ def test_packed_pairing_is_exact_to_its_limits_and_raises_past_them(
     verdicts; one past a limit raises instead of aliasing into the next
     field, and keeps no verdict."""
     rs = root_system(label, rank)
-    limits = rs.packed_pairing[2]
+    limits = rs.packed_pairing[1]
     held = []
     monkeypatch.setattr(weyl.WeylElement, "coroot_sum", property(lambda w: held[0]))
     w = identity(rs)
@@ -653,7 +653,8 @@ def test_packed_pairing_is_exact_to_its_limits_and_raises_past_them(
         for sign in (1, -1):
             held[:] = [tuple(sign * (1 if c >= 0 else -1) * lim
                              for c, lim in zip(row, limits))]
-            assert weyl._pairing_vector(w) == _dot_product_pairings(rs, held[0])
+            assert _packed_digits(rs, weyl._packed_pairings(w)) == \
+                _dot_product_pairings(rs, held[0])
             for perm in (rs.identity_perm, w0):
                 fresh = weyl.WeylElement(rs, perm)
                 assert _verdicts(fresh) == _first_difference_oracle(fresh)
@@ -661,7 +662,7 @@ def test_packed_pairing_is_exact_to_its_limits_and_raises_past_them(
         for past in (limits[i] + 1, -limits[i] - 1):
             held[:] = [tuple(past if j == i else 0 for j in range(rank))]
             with pytest.raises(AssertionError, match="past the packed range"):
-                weyl._pairing_vector(w)
+                weyl._packed_pairings(w)
             with pytest.raises(AssertionError, match="past the packed range"):
                 check_first_difference(w, 0)
             assert w._verdicts is None
@@ -714,6 +715,18 @@ def test_packed_first_difference_finds_every_swapped_root_pair(label, rank, get_
                 assert [k for k, ok in enumerate(got) if not ok] == [b, a]
 
 
+def test_first_difference_check_keeps_no_closure_cells():
+    """Every call of ``check_first_difference`` runs its body, so a cell
+    there costs every call: with the per-root comprehension inlined, S(w)
+    became a cell variable, and the 1 382 400 indexed calls of an
+    exhaustive D6 sweep took about 1.3 times as long, 0.090 s instead of
+    0.065 s in one measurement and 0.16 s instead of 0.12 s in another
+    (Python 3.11, 2 cores).  The per-root verdicts are built in
+    ``_root_verdicts`` instead."""
+    code = check_first_difference.__code__
+    assert code.co_cellvars == () and code.co_freevars == ()
+
+
 # every type up to rank 8, and A20 for 16-bit fields
 TYPES_TO_RANK_8 = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
                    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
@@ -728,7 +741,7 @@ def test_height_drops_fit_the_packed_digit_bound(label, rank):
     rs = root_system(label, rank)
     fields, target, passing, table = rs.packed_heights
     width = 8 * len(fields[0])
-    assert rs.packed_pairing[1] * 8 == width * rs.nroots
+    assert rs.packed_pairing[0] * 8 == width * rs.nroots
     bound = max(sum(abs(c) * r for c, r in zip(row, rs.rho_check_twice))
                 for row in rs._psc)
     drop = 2 * max(rs.heights)
@@ -753,7 +766,7 @@ def test_narrow_height_field_raises_at_build(label, rank, monkeypatch):
     reads a digit that could carry."""
     rs = root_system(label, rank)
     monkeypatch.setattr(RootSystem, "packed_pairing",
-                        property(lambda rs: ("b", rs.nroots, (), 0, ())))
+                        property(lambda rs: (rs.nroots, (), ())))
     with pytest.raises(AssertionError, match="digit bound of 8-bit fields"):
         rs.packed_heights
     with pytest.raises(AssertionError, match="digit bound"):
